@@ -89,6 +89,8 @@ from .search import (
     clifford_index,
     complement_divisor,
     gonality,
+    parse_certificate,
+    serialize_certificate,
     verify_certificate,
 )
 

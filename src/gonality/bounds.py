@@ -16,8 +16,6 @@ from typing import Optional
 from .errors import EdgeCountError, GonalityError, MalformedHeaderError, SizeLimitError
 from .graphs import Graph, degeneracy
 
-_VALIDATION_ORDER = ("tree structure", "property 1", "property 2", "property 3")
-
 
 @dataclass(frozen=True)
 class TreeDecomposition:
@@ -86,7 +84,7 @@ def validate_tree_decomposition(graph: Graph, td: TreeDecomposition) -> Validati
         if key in seen:
             return ValidationReport(False, "tree structure", width)
         seen.add(key)
-    if k == 0 or len(td.tree_edges) != k - 1 or not _nodes_connected(k, td.tree_edges):
+    if len(td.tree_edges) != k - 1 or not _induced_connected(list(range(k)), td.tree_edges):
         return ValidationReport(False, "tree structure", width)
 
     # property 1 also catches bag members outside the vertex range
@@ -249,7 +247,13 @@ def frieze_alpha_estimate(n: int, c: float) -> float:
     if c <= math.e:
         raise GonalityError(f"estimate needs c > e ~ 2.718, got {c}")
     p = c / n
-    return (2.0 / p) * (math.log(c) - math.log(math.log(c)) - math.log(2.0) + 1.0)
+    return (2.0 / p) * _frieze_bracket(c)
+
+
+def _frieze_bracket(c: float) -> float:
+    """``ln c - ln ln c - ln 2 + 1``, the factor shared by the Frieze
+    estimate and its ratio column; callers apply their own scale."""
+    return math.log(c) - math.log(math.log(c)) - math.log(2.0) + 1.0
 
 
 def serialize_tree_decomposition(td: TreeDecomposition) -> str:
@@ -263,45 +267,35 @@ def serialize_tree_decomposition(td: TreeDecomposition) -> str:
 
 
 def parse_tree_decomposition(text: str) -> TreeDecomposition:
-    lines = text.splitlines()
+    """Inverse of :func:`serialize_tree_decomposition`.
+
+    A blank line is an empty bag, so the line count must match the header
+    exactly.  Raises :class:`MalformedHeaderError` or :class:`EdgeCountError`.
+    """
+    lines = [ln.strip() for ln in text.splitlines()]
     if not lines:
         raise MalformedHeaderError("empty input")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise MalformedHeaderError(f"expected header 'k width', got {lines[0]!r}")
-    k = int(header[0])
+    try:
+        k, width = (int(tok) for tok in lines[0].split())
+    except ValueError as exc:
+        raise MalformedHeaderError(f"expected header 'k width', got {lines[0]!r}") from exc
+    if k < 0:
+        raise MalformedHeaderError(f"negative bag count in header {lines[0]!r}")
     expected = 1 + k + max(k - 1, 0)
-    if len(lines) < expected:
+    if len(lines) != expected:
         raise EdgeCountError(f"expected {expected} lines, found {len(lines)}")
-    bags = tuple(
-        frozenset(int(tok) for tok in lines[1 + i].split()) for i in range(k)
-    )
-    edges = tuple(
-        (int(a), int(b))
-        for a, b in (lines[1 + k + i].split() for i in range(max(k - 1, 0)))
-    )
-    return TreeDecomposition(bags, edges)
+    try:
+        bags = tuple(frozenset(int(tok) for tok in ln.split()) for ln in lines[1:1 + k])
+        edges = tuple((int(a), int(b)) for a, b in (ln.split() for ln in lines[1 + k:]))
+    except ValueError as exc:
+        raise EdgeCountError(f"malformed bag or tree-edge line: {exc}") from exc
+    td = TreeDecomposition(bags, edges)
+    if td.width != width:
+        raise MalformedHeaderError(f"header width {width}, bags give width {td.width}")
+    return td
 
 
 # -- internals ---------------------------------------------------------------
-
-def _nodes_connected(k: int, edges: tuple[tuple[int, int], ...]) -> bool:
-    if k == 0:
-        return False
-    nbr: list[list[int]] = [[] for _ in range(k)]
-    for a, b in edges:
-        nbr[a].append(b)
-        nbr[b].append(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in nbr[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == k
-
 
 def _induced_connected(nodes: list[int], edges: tuple[tuple[int, int], ...]) -> bool:
     if not nodes:

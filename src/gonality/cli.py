@@ -21,18 +21,11 @@ from .bounds import (
     treewidth_exact,
     treewidth_lower_bound,
 )
-from .divisors import (
-    parse_divisor,
-    parse_firing_script,
-    q_reduce,
-    rank,
-    serialize_divisor,
-    serialize_firing_script,
-)
+from .divisors import parse_divisor, q_reduce, rank, serialize_divisor
 from .errors import BudgetExceededError, GonalityError, SizeLimitError
 from .experiments import ExperimentConfig, convergence_report, run_experiment
 from .graphs import GnpParams, min_degree, parse_graph, sample_gnp, serialize_graph
-from .search import PositiveRankCertificate, gonality, verify_certificate
+from .search import gonality, parse_certificate, serialize_certificate, verify_certificate
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -56,22 +49,6 @@ def _load_graph(path: str):
 def _note(args, message: str) -> None:
     if not args.porcelain:
         print(message, file=sys.stderr)
-
-
-def serialize_certificate(cert: PositiveRankCertificate) -> str:
-    """Divisor line followed by one witness-script line per vertex."""
-    lines = [serialize_divisor(cert.divisor)]
-    lines.extend(serialize_firing_script(w) for w in cert.witnesses)
-    return "\n".join(lines) + "\n"
-
-
-def parse_certificate(text: str, n: int) -> PositiveRankCertificate:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) != n + 1:
-        raise GonalityError(f"certificate needs 1 + {n} lines, found {len(lines)}")
-    div = parse_divisor(lines[0], n)
-    witnesses = tuple(parse_firing_script(ln, n) for ln in lines[1:])
-    return PositiveRankCertificate(div, witnesses)
 
 
 def _cmd_gonality(args) -> int:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-from weakref import WeakKeyDictionary
 
 from .errors import DisconnectedGraphError, GonalityError
 from .graphs import Graph
@@ -117,7 +116,6 @@ def linearly_equivalent(graph: Graph, a: Divisor, b: Divisor) -> bool:
     _check_size(graph, b.chips, "divisor")
     if a.degree != b.degree:
         return False
-    _require_connected(graph)
     return _reduce_chips(graph, list(a.chips), 0) == _reduce_chips(graph, list(b.chips), 0)
 
 
@@ -129,7 +127,6 @@ def effective_representative(graph: Graph, div: Divisor) -> Optional[Divisor]:
     the witness in one step.
     """
     _check_size(graph, div.chips, "divisor")
-    _require_connected(graph)
     chips = _reduce_chips(graph, list(div.chips), 0)
     if chips[0] < 0:
         return None
@@ -139,7 +136,6 @@ def effective_representative(graph: Graph, div: Divisor) -> Optional[Divisor]:
 def has_positive_rank(graph: Graph, div: Divisor) -> bool:
     """Whether ``div - v`` is equivalent to an effective divisor for every v."""
     _check_size(graph, div.chips, "divisor")
-    _require_connected(graph)
     red = _reduce_chips(graph, list(div.chips), 0)
     return _reduced_has_positive_rank(graph, red)
 
@@ -152,9 +148,10 @@ def rank(graph: Graph, div: Divisor) -> int:
     of degree k.  Computed through the recursion
     ``r(D) = 1 + min_v r(D - v)`` (with ``r = -1`` cut-off), memoized on
     q-reduced forms so repeated queries against the same graph stay cheap.
+    The memo belongs to the ``graph`` object and is freed with it: an equal
+    but distinct :class:`Graph` starts with an empty memo.
     """
     _check_size(graph, div.chips, "divisor")
-    _require_connected(graph)
     red = tuple(_reduce_chips(graph, list(div.chips), 0))
     return _rank_of_reduced(graph, red)
 
@@ -190,24 +187,20 @@ def _check_size(graph: Graph, values: tuple[int, ...], what: str) -> None:
 
 
 def _require_connected(graph: Graph) -> None:
-    if graph.n == 0 or not graph.is_connected():
+    if len(graph.components) != 1:
         raise DisconnectedGraphError("operation requires a connected graph")
 
 
-_LAYER_CACHE: "WeakKeyDictionary[Graph, dict[int, tuple]]" = WeakKeyDictionary()
-
-
 def _bfs_layers(graph: Graph, q: int) -> tuple[list[list[int]], list[int], list[int]]:
-    """BFS layering from q, cached per graph.
+    """BFS layering from q on a connected graph.
 
     Returns ``(layers, e_in, e_out)`` where ``e_in[u]`` counts u's neighbors
-    one layer closer to q and ``e_out[u]`` those one layer farther.  Raises
-    if the graph is not connected.
+    one layer closer to q and ``e_out[u]`` those one layer farther.  Kept
+    per base vertex in the ``graph`` object's own table, so it is freed with
+    the graph.
     """
-    per_graph = _LAYER_CACHE.get(graph)
-    if per_graph is None:
-        per_graph = _LAYER_CACHE[graph] = {}
-    hit = per_graph.get(q)
+    tables = graph._layer_tables
+    hit = tables.get(q)
     if hit is not None:
         return hit
     n = graph.n
@@ -226,8 +219,6 @@ def _bfs_layers(graph: Graph, q: int) -> tuple[list[list[int]], list[int], list[
         if nxt:
             layers.append(sorted(nxt))
         frontier = nxt
-    if sum(len(layer) for layer in layers) != n:
-        raise DisconnectedGraphError("operation requires a connected graph")
     e_in = [0] * n
     e_out = [0] * n
     for u in range(n):
@@ -236,8 +227,7 @@ def _bfs_layers(graph: Graph, q: int) -> tuple[list[list[int]], list[int], list[
                 e_in[u] += 1
             elif dist[w] == dist[u] + 1:
                 e_out[u] += 1
-    result = (layers, e_in, e_out)
-    per_graph[q] = result
+    result = tables[q] = (layers, e_in, e_out)
     return result
 
 
@@ -272,8 +262,10 @@ def _reduce_chips(graph: Graph, chips: list[int], q: int, script: Optional[list[
     Phase 1 clears debt away from q by firing balls around q, pushing chips
     outward layer by layer from the farthest layer inward.  Phase 2 runs
     Dhar's burning repeatedly, firing the unburnt set as many times as its
-    chips allow, until the whole graph burns.
+    chips allow, until the whole graph burns.  Raises
+    :class:`DisconnectedGraphError` unless the graph is connected.
     """
+    _require_connected(graph)
     n = graph.n
     if not (0 <= q < n):
         raise GonalityError(f"base vertex {q} outside [0, {n})")
@@ -340,14 +332,10 @@ def _reduced_has_positive_rank(graph: Graph, red: list[int]) -> bool:
     return True
 
 
-_RANK_CACHE: "WeakKeyDictionary[Graph, dict[tuple[int, ...], int]]" = WeakKeyDictionary()
-
-
 def _rank_of_reduced(graph: Graph, red: tuple[int, ...]) -> int:
-    """Iterative evaluation of the rank recursion with per-graph memoization."""
-    cache = _RANK_CACHE.get(graph)
-    if cache is None:
-        cache = _RANK_CACHE[graph] = {}
+    """Iterative evaluation of the rank recursion, memoized in the ``graph``
+    object's own rank table, which is freed with the graph."""
+    cache = graph._rank_memo
     hit = cache.get(red)
     if hit is not None:
         return hit

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounds import maximum_independent_set, treewidth_exact, treewidth_lower_bound
+from .bounds import _frieze_bracket, maximum_independent_set, treewidth_exact, treewidth_lower_bound
 from .errors import BudgetExceededError, GonalityError
 from .graphs import GnpParams, genus, sample_gnp
 from .search import gonality
@@ -385,9 +385,7 @@ def summarize(records: list[TrialRecord]) -> ExperimentSummary:
         ub = [r.gon_ub / n for r in group]
         frieze_ratio: Optional[float] = None
         if c > math.e:
-            frieze_ratio = 1.0 - (2.0 / c) * (
-                math.log(c) - math.log(math.log(c)) - math.log(2.0) + 1.0
-            )
+            frieze_ratio = 1.0 - (2.0 / c) * _frieze_bracket(c)
         rows.append(
             SummaryRow(
                 n=n,

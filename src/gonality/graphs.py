@@ -63,6 +63,40 @@ class Graph:
             deg[v] += 1
         return tuple(deg)
 
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Vertex partition into components, each sorted, ordered by least vertex."""
+        seen = [False] * self.n
+        adj = self.adjacency
+        parts = []
+        for start in range(self.n):
+            if seen[start]:
+                continue
+            stack = [start]
+            seen[start] = True
+            comp = []
+            while stack:
+                u = stack.pop()
+                comp.append(u)
+                for w in adj[u]:
+                    if not seen[w]:
+                        seen[w] = True
+                        stack.append(w)
+            parts.append(tuple(sorted(comp)))
+        return tuple(parts)
+
+    # Memo tables that the divisors module fills: BFS layers by base vertex,
+    # and ranks by 0-reduced chip vector.  They live in the instance dict, so
+    # they die with this object and are never shared with an equal graph;
+    # equality and hashing see only ``n`` and ``edges``.
+    @cached_property
+    def _layer_tables(self) -> dict[int, tuple]:
+        return {}
+
+    @cached_property
+    def _rank_memo(self) -> dict[tuple[int, ...], int]:
+        return {}
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -71,7 +105,7 @@ class Graph:
         return self.degrees[v]
 
     def is_connected(self) -> bool:
-        return len(connected_components(self)) <= 1
+        return len(self.components) <= 1
 
     def __repr__(self) -> str:  # keep huge edge tuples out of tracebacks
         return f"Graph(n={self.n}, m={self.m})"
@@ -197,29 +231,12 @@ def degeneracy(graph: Graph) -> int:
 
 def connected_components(graph: Graph) -> tuple[tuple[int, ...], ...]:
     """Vertex partition into components, each sorted, ordered by least vertex."""
-    seen = [False] * graph.n
-    adj = graph.adjacency
-    parts = []
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        parts.append(tuple(sorted(comp)))
-    return tuple(parts)
+    return graph.components
 
 
 def genus(graph: Graph) -> int:
     """First Betti number |E| - |V| + #components (cycle-space dimension)."""
-    return graph.m - graph.n + len(connected_components(graph))
+    return graph.m - graph.n + len(graph.components)
 
 
 def induced_subgraph(graph: Graph, vertices: Sequence[int]) -> tuple[Graph, tuple[int, ...]]:

@@ -22,7 +22,11 @@ from .divisors import (
     FiringScript,
     apply_firing,
     canonical_divisor,
+    parse_divisor,
+    parse_firing_script,
     q_reduce_with_script,
+    serialize_divisor,
+    serialize_firing_script,
     _dhar_unburnt,
     _rank_of_reduced,
     _reduce_chips,
@@ -35,7 +39,7 @@ from .errors import (
     NotIndependentError,
     NotMaximalError,
 )
-from .graphs import Graph, connected_components, genus, induced_subgraph
+from .graphs import Graph, genus, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,23 @@ def verify_certificate(graph: Graph, cert: PositiveRankCertificate) -> bool:
     return True
 
 
+def serialize_certificate(cert: PositiveRankCertificate) -> str:
+    """Divisor line followed by one witness-script line per vertex."""
+    lines = [serialize_divisor(cert.divisor)]
+    lines.extend(serialize_firing_script(w) for w in cert.witnesses)
+    return "\n".join(lines) + "\n"
+
+
+def parse_certificate(text: str, n: int) -> PositiveRankCertificate:
+    """Inverse of :func:`serialize_certificate` for a graph on ``n`` vertices."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if len(lines) != n + 1:
+        raise GonalityError(f"certificate needs 1 + {n} lines, found {len(lines)}")
+    div = parse_divisor(lines[0], n)
+    witnesses = tuple(parse_firing_script(ln, n) for ln in lines[1:])
+    return PositiveRankCertificate(div, witnesses)
+
+
 def complement_divisor(graph: Graph, independent: frozenset[int] | set[int]) -> Divisor:
     """One chip on every vertex outside the given independent set."""
     _check_independent(graph, independent)
@@ -104,7 +125,7 @@ def certify_independence_bound(graph: Graph, independent: frozenset[int] | set[i
     direct evaluation before the certificate is returned.
     """
     ind = frozenset(independent)
-    _check_independent(graph, ind)
+    div = complement_divisor(graph, ind)
     _check_maximal(graph, ind)
     for v in ind:
         if graph.degree(v) == 0:
@@ -112,7 +133,6 @@ def certify_independence_bound(graph: Graph, independent: frozenset[int] | set[i
                 f"vertex {v} is isolated; the firing construction needs every "
                 "independent vertex to have a neighbor"
             )
-    div = Divisor(tuple(0 if v in ind else 1 for v in range(graph.n)))
     zero = FiringScript.zero(graph.n)
     witnesses = []
     for v in range(graph.n):
@@ -152,7 +172,7 @@ def gonality(
     """
     if graph.n == 0:
         raise GonalityError("gonality of the empty graph is undefined")
-    comps = connected_components(graph)
+    comps = graph.components
     if len(comps) > 1:
         total = 0
         searched: list[int] = []
@@ -202,7 +222,7 @@ def clifford_index(graph: Graph, budget: Optional[int] = None) -> Optional[Cliff
     (lowest degree, then lexicographic).  ``budget`` caps the total number
     of representatives examined.
     """
-    if graph.n == 0 or len(connected_components(graph)) != 1:
+    if len(graph.components) != 1:
         raise GonalityError("clifford_index requires a connected graph")
     g = genus(graph)
     kan = canonical_divisor(graph)

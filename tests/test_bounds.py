@@ -4,7 +4,10 @@ import random
 import pytest
 
 from gonality import (
+    EdgeCountError,
+    ExperimentConfig,
     GonalityError,
+    MalformedHeaderError,
     SizeLimitError,
     TreeDecomposition,
     build_graph,
@@ -16,11 +19,13 @@ from gonality import (
     min_degree,
     parse_tree_decomposition,
     path_graph,
+    run_experiment,
     serialize_tree_decomposition,
     treewidth_exact,
     treewidth_lower_bound,
     validate_tree_decomposition,
 )
+from gonality.bounds import _frieze_bracket
 
 from oracles import brute_alpha, brute_max_clique_complement, brute_treewidth, random_graph
 
@@ -234,6 +239,15 @@ class TestFriezeEstimate:
         with pytest.raises(GonalityError):
             frieze_alpha_estimate(0, 10)
 
+    @pytest.mark.parametrize("c", [3.0, 4.0, 5.5, 10.0, math.sqrt(50)])
+    def test_shared_bracket_is_bit_identical(self, c):
+        old = math.log(c) - math.log(math.log(c)) - math.log(2.0) + 1.0
+        assert _frieze_bracket(c) == old
+        assert frieze_alpha_estimate(60, c) == (2.0 / (c / 60)) * old
+        config = ExperimentConfig(n_list=(12,), c_spec=repr(c), trials=1, seed=3, mode="sandwich")
+        summary, _ = run_experiment(config)
+        assert summary.rows[0].frieze_ub_ratio == 1.0 - (2.0 / c) * old
+
 
 class TestTreeDecompositionIO:
     def test_roundtrip(self):
@@ -245,3 +259,23 @@ class TestTreeDecompositionIO:
     def test_format_shape(self):
         td = TreeDecomposition((frozenset({0, 1}), frozenset({1, 2})), ((0, 1),))
         assert serialize_tree_decomposition(td) == "2 1\n0 1\n1 2\n0 1\n"
+
+    def test_empty_bag_roundtrip(self):
+        _, td = treewidth_exact(build_graph(0, []))
+        assert parse_tree_decomposition(serialize_tree_decomposition(td)) == td
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("x 1\n0\n", MalformedHeaderError),  # non-integer header
+            ("-1 0\n", MalformedHeaderError),  # negative bag count
+            ("2 3\n0 1\n1 2\n0 1\n", MalformedHeaderError),  # width the bags do not have
+            ("1 0\na\n", EdgeCountError),  # non-integer bag
+            ("2 1\n0 1\n1 2\n0 1 2\n", EdgeCountError),  # tree edge with three ends
+            ("2 1\n0 1\n\n1 2\n0 1\n", EdgeCountError),  # stray blank line: one line too many
+            ("2 1\n0 1\n1 2\n0 1\n1 0\n", EdgeCountError),  # trailing extra line
+        ],
+    )
+    def test_malformed_input_raises_domain_error(self, text, error):
+        with pytest.raises(error):
+            parse_tree_decomposition(text)

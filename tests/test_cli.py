@@ -1,8 +1,15 @@
 import pytest
 
-from gonality import CSV_HEADER, complete_graph, path_graph, serialize_graph
-from gonality.cli import main, parse_certificate, serialize_certificate
-from gonality.search import gonality
+from gonality import (
+    CSV_HEADER,
+    complete_graph,
+    gonality,
+    parse_certificate,
+    path_graph,
+    serialize_certificate,
+    serialize_graph,
+)
+from gonality.cli import main
 
 
 @pytest.fixture

@@ -1,4 +1,9 @@
+import gc
 import random
+import sys
+import weakref
+from collections.abc import MutableMapping
+from functools import cached_property
 from itertools import product
 
 import pytest
@@ -7,14 +12,17 @@ from gonality import (
     DisconnectedGraphError,
     Divisor,
     FiringScript,
+    Graph,
     apply_firing,
     build_graph,
     canonical_divisor,
     complete_graph,
+    connected_components,
     cycle_graph,
     divisor,
     effective_representative,
     genus,
+    gonality,
     has_positive_rank,
     linearly_equivalent,
     parse_divisor,
@@ -324,6 +332,61 @@ class TestRank:
             d = random_divisor(rnd, g.n, bound=2)
             k = canonical_divisor(g)
             assert rank(g, d) - rank(g, k - d) == d.degree - genus(g) + 1
+
+
+class TestGraphOwnedMemo:
+    def test_no_module_level_table_keyed_by_graph(self):
+        g = cycle_graph(5)
+        rank(g, divisor(2, 0, 1, 0, 0))
+        q_reduce(g, divisor(0, 3, 0, -1, 0), 2)
+        for name, module in list(sys.modules.items()):
+            if name != "gonality" and not name.startswith("gonality."):
+                continue
+            for attr, obj in vars(module).items():
+                if isinstance(obj, MutableMapping):
+                    # weak mappings are not dicts; no dict may be keyed by graphs
+                    assert isinstance(obj, dict), f"{name}.{attr}"
+                    assert not any(isinstance(k, Graph) for k in obj), f"{name}.{attr}"
+
+    def test_equal_graph_starts_with_empty_memo(self):
+        rnd = random.Random(30)
+        g = random_connected_graph(rnd, 6, 0.5)
+        divs = [random_divisor(rnd, g.n, bound=2) for _ in range(40)]
+        ranks = [rank(g, d) for d in divs]
+        assert g._rank_memo
+        fresh = Graph(g.n, g.edges)
+        assert g == fresh and hash(g) == hash(fresh)
+        assert set(vars(fresh)) == {"n", "edges"}
+        assert [rank(fresh, d) for d in divs] == ranks
+        assert fresh._rank_memo is not g._rank_memo
+
+    def test_connectivity_found_once_per_graph(self, monkeypatch):
+        found = []
+        find = Graph.components.func
+
+        def counted(graph):
+            found.append(graph)
+            return find(graph)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Graph, "components")
+        monkeypatch.setattr(Graph, "components", prop)
+        g = cycle_graph(5)
+        assert g.is_connected() and genus(g) == 1 and len(connected_components(g)) == 1
+        rank(g, divisor(2, 0, 1, 0, 0))
+        q_reduce(g, divisor(0, 3, 0, -1, 0), 2)
+        assert linearly_equivalent(g, divisor(1, 0, 0, 0, 0), divisor(0, 1, 0, 0, 0)) is False
+        assert gonality(g).value == 2
+        assert found == [g]
+
+    def test_memo_is_freed_with_the_graph(self):
+        g = cycle_graph(6)
+        rank(g, divisor(2, 0, 0, 1, 0, 0))
+        assert g._rank_memo and g._layer_tables
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
 
 
 class TestDivisorBasics:
