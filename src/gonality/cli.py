@@ -131,8 +131,7 @@ def _cmd_experiment(args) -> int:
         trials=args.trials,
         seed=args.seed,
         mode=args.mode,
-        mis_budget=args.budget,
-        gonality_budget=args.budget,
+        budget=args.budget,
         record_timings=args.timings,
         workers=args.threads,
     )

@@ -17,7 +17,7 @@ wrap no matter how large firing scripts grow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import DisconnectedGraphError, GonalityError
 from .graphs import Graph
@@ -137,7 +137,7 @@ def has_positive_rank(graph: Graph, div: Divisor) -> bool:
     """Whether ``div - v`` is equivalent to an effective divisor for every v."""
     _check_size(graph, div.chips, "divisor")
     red = _reduce_chips(graph, list(div.chips), 0)
-    return _reduced_has_positive_rank(graph, red)
+    return red[0] >= 0 and _positive_rank_scripts(graph, red) is not None
 
 
 def rank(graph: Graph, div: Divisor) -> int:
@@ -321,15 +321,25 @@ def _reduced_after_decrement(graph: Graph, red: tuple[int, ...], v: int) -> tupl
     return tuple(_reduce_chips(graph, chips, 0))
 
 
-def _reduced_has_positive_rank(graph: Graph, red: list[int]) -> bool:
-    """Positive-rank test for an already 0-reduced chip vector."""
-    if red[0] < 1:
-        return False
-    red_t = tuple(red)
-    for v in range(1, graph.n):
-        if red[v] == 0 and _reduced_after_decrement(graph, red_t, v)[0] < 0:
-            return False
-    return True
+def _positive_rank_scripts(graph: Graph, chips: Sequence[int]) -> Optional[list[list[int]]]:
+    """For effective ``chips``, one script per v taking ``chips - v`` to an
+    effective divisor, or ``None`` if some v has none.
+
+    Where v holds no chip, ``chips - v`` is nonnegative away from v, so
+    reducing it at base v runs Dhar rounds only, and the result is effective
+    exactly when its value at v is; that reduction's script is the witness.
+    """
+    n = graph.n
+    scripts = []
+    for v in range(n):
+        script = [0] * n
+        if chips[v] == 0:
+            rest = list(chips)
+            rest[v] = -1
+            if _reduce_chips(graph, rest, v, script)[v] < 0:
+                return None
+        scripts.append(script)
+    return scripts
 
 
 def _rank_of_reduced(graph: Graph, red: tuple[int, ...]) -> int:

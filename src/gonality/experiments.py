@@ -2,7 +2,7 @@
 and convergence reporting for the gonality-over-n trend.
 
 Reproducibility contract: a trial is a pure function of
-``(n, p, per-trial seed, mode, budgets)``, and the per-trial seed is a pure
+``(n, p, per-trial seed, mode, budget)``, and the per-trial seed is a pure
 mix of the master seed with ``(n, trial index)``.  Runs with identical
 configuration therefore produce byte-identical CSV files, independent of
 worker count or scheduling.  Wall-clock columns are left empty unless
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import _frieze_bracket, maximum_independent_set, treewidth_exact, treewidth_lower_bound
-from .errors import BudgetExceededError, GonalityError
+from .errors import BudgetExceededError, GonalityError, SizeLimitError
 from .graphs import GnpParams, genus, sample_gnp
 from .search import gonality
 
@@ -28,6 +28,8 @@ CSV_HEADER = (
 )
 
 _MASK64 = (1 << 64) - 1
+
+EXACT_GONALITY_LIMIT = 12  # largest n whose gonality exact mode computes
 
 
 def _splitmix64(z: int) -> int:
@@ -78,17 +80,15 @@ def c_of(c_spec: str, n: int) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of a run; equal configs give byte-equal CSVs."""
+    """Full description of a run; equal configs give byte-equal CSVs.
+    ``budget`` caps both MIS nodes and candidates per gonality degree."""
 
     n_list: tuple[int, ...]
     c_spec: str
     trials: int
     seed: int
     mode: str = "exact"
-    exact_gonality_limit: int = 12
-    treewidth_limit: int = 16
-    mis_budget: Optional[int] = None
-    gonality_budget: Optional[int] = None
+    budget: Optional[int] = None
     record_timings: bool = False
     workers: int = 1
 
@@ -104,9 +104,9 @@ class ExperimentConfig:
             c = c_of(self.c_spec, n)
             if not (0.0 <= c / n <= 1.0):
                 raise GonalityError(f"c spec {self.c_spec!r} gives p outside [0,1] at n={n}")
-        if self.mode == "exact" and max(self.n_list) > self.exact_gonality_limit:
+        if self.mode == "exact" and max(self.n_list) > EXACT_GONALITY_LIMIT:
             raise GonalityError(
-                f"exact mode allows n up to {self.exact_gonality_limit}, "
+                f"exact mode allows n up to {EXACT_GONALITY_LIMIT}, "
                 f"got n={max(self.n_list)}; use mode='sandwich'"
             )
 
@@ -169,46 +169,45 @@ def run_trial(
     *,
     c: Optional[float] = None,
     trial: int = 0,
-    exact_gonality_limit: int = 12,
-    treewidth_limit: int = 16,
-    mis_budget: Optional[int] = None,
-    gonality_budget: Optional[int] = None,
+    budget: Optional[int] = None,
     record_timings: bool = False,
 ) -> TrialRecord:
-    """Sample one graph and measure every column for its row."""
+    """Sample one graph and measure every column for its row.  Exact
+    treewidth stops at ``treewidth_exact``'s own size limit."""
     params = GnpParams.from_p(n, p, seed)
     graph = sample_gnp(params)
     connected = graph.is_connected()
     gns = genus(graph)
 
     t0 = time.perf_counter()
-    mis = maximum_independent_set(graph, mis_budget)
+    mis = maximum_independent_set(graph, budget)
     ms_alpha = (time.perf_counter() - t0) * 1000.0
     alpha = mis.alpha
     gon_ub = n - alpha
 
     t0 = time.perf_counter()
     tw_lb = treewidth_lower_bound(graph)
-    tw_ex: Optional[int] = None
-    if n <= treewidth_limit:
-        tw_ex = treewidth_exact(graph, treewidth_limit)[0]
+    try:
+        tw_ex: Optional[int] = treewidth_exact(graph)[0]
+    except SizeLimitError:
+        tw_ex = None
     ms_tw = (time.perf_counter() - t0) * 1000.0
 
     gon_lb = max(tw_lb, tw_ex) if tw_ex is not None else tw_lb
     gon_exact: Optional[int] = None
     t0 = time.perf_counter()
-    if mode == "exact" and n <= exact_gonality_limit:
+    if mode == "exact" and n <= EXACT_GONALITY_LIMIT:
         try:
             if connected:
                 result = gonality(
                     graph,
-                    gonality_budget,
+                    budget,
                     with_certificate=False,
                     lower_bound=tw_ex if tw_ex is not None else 1,
                     independent_set=mis.independent.vertices,
                 )
             else:
-                result = gonality(graph, gonality_budget, with_certificate=False)
+                result = gonality(graph, budget, with_certificate=False)
             gon_exact = result.value
         except BudgetExceededError:
             gon_exact = None  # row kept; empty cell flags the exhaustion
@@ -253,10 +252,7 @@ def _trial_from_task(task: tuple) -> TrialRecord:
         config.mode,
         c=c,
         trial=trial,
-        exact_gonality_limit=config.exact_gonality_limit,
-        treewidth_limit=config.treewidth_limit,
-        mis_budget=config.mis_budget,
-        gonality_budget=config.gonality_budget,
+        budget=config.budget,
         record_timings=config.record_timings,
     )
 

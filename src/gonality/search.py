@@ -8,8 +8,11 @@ scan is complete and duplicate-free.
 
 Every reported value carries a certificate: the witness divisor plus, for
 each vertex v, a firing script taking ``divisor - v`` to an effective
-divisor.  Certificates re-verify by direct firing arithmetic, independent
-of the search that produced them.
+divisor.  The positive-rank test that accepts the witness produces these
+scripts: the script for v is zero where the divisor holds a chip, and
+otherwise the one that reduces ``divisor - v`` at base v.  Certificates
+re-verify by direct firing arithmetic, independent of the search that
+produced them.
 """
 
 from __future__ import annotations
@@ -24,13 +27,12 @@ from .divisors import (
     canonical_divisor,
     parse_divisor,
     parse_firing_script,
-    q_reduce_with_script,
     serialize_divisor,
     serialize_firing_script,
     _dhar_unburnt,
+    _positive_rank_scripts,
     _rank_of_reduced,
     _reduce_chips,
-    _reduced_has_positive_rank,
 )
 from .errors import (
     BudgetExceededError,
@@ -206,7 +208,7 @@ def gonality(
             raise BudgetExceededError(str(exc), degrees_refuted=tuple(searched)) from None
         searched.append(d)
         if hit is not None:
-            cert = _build_certificate(graph, hit) if with_certificate else None
+            cert = _build_certificate(graph, *hit) if with_certificate else None
             return GonalityResult(d, cert, tuple(searched), refutation_floor=lower_bound)
         if d > graph.n:
             raise CertificateError("search passed degree n without a witness; this is a bug")
@@ -301,52 +303,40 @@ def _assignments(caps: list[int], total: int) -> Iterator[tuple[int, ...]]:
         yield from rec(0, total)
 
 
-def _reduced_candidates(graph: Graph, d: int, counter: Optional[list[int]] = None,
-                        budget: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+def _reduced_candidates(graph: Graph, d: int, budget: Optional[int] = None) -> Iterator[tuple[int, ...]]:
     """q-reduced effective divisors of degree d with >= 1 chip at base 0.
 
     Yielded in ascending lexicographic chip order.  Off-base entries are
     bounded by valence - 1 (necessary for Dhar stability); each surviving
-    vector is confirmed stable by a burning pass.
+    vector is confirmed stable by a burning pass.  ``budget`` caps the
+    vectors enumerated, counted before the burning pass.
     """
-    caps = [graph.degree(v) - 1 for v in range(1, graph.n)]
-    # chips[0] = d - s >= 1, and ascending chips[0] means descending s
-    for s in range(min(d - 1, sum(caps)), -1, -1):
-        for rest in _assignments(caps, s):
-            if counter is not None:
-                counter[0] += 1
-                if budget is not None and counter[0] > budget:
-                    raise BudgetExceededError(
-                        f"degree-{d} scan exceeded budget of {budget} candidates"
-                    )
-            chips = (d - s, *rest)
-            if not _dhar_unburnt(graph, list(chips), 0):
-                yield chips
+    caps = [d - 1] + [graph.degree(v) - 1 for v in range(1, graph.n)]
+    count = 0
+    for rest in _assignments(caps, d - 1):
+        count += 1
+        if budget is not None and count > budget:
+            raise BudgetExceededError(
+                f"degree-{d} scan exceeded budget of {budget} candidates"
+            )
+        chips = (rest[0] + 1, *rest[1:])
+        if not _dhar_unburnt(graph, list(chips), 0):
+            yield chips
 
 
-def _scan_degree(graph: Graph, d: int, budget: Optional[int]) -> Optional[tuple[int, ...]]:
-    """First positive-rank q-reduced divisor of degree d in lex order, if any."""
-    counter = [0]
-    for chips in _reduced_candidates(graph, d, counter, budget):
-        if _reduced_has_positive_rank(graph, list(chips)):
-            return chips
+def _scan_degree(graph: Graph, d: int,
+                 budget: Optional[int]) -> Optional[tuple[tuple[int, ...], list[list[int]]]]:
+    """First positive-rank q-reduced divisor of degree d in lex order, with
+    its witness scripts, if any."""
+    for chips in _reduced_candidates(graph, d, budget):
+        scripts = _positive_rank_scripts(graph, chips)
+        if scripts is not None:
+            return chips, scripts
     return None
 
 
-def _build_certificate(graph: Graph, chips: tuple[int, ...]) -> PositiveRankCertificate:
-    div = Divisor(chips)
-    zero = FiringScript.zero(graph.n)
-    witnesses = []
-    for v in range(graph.n):
-        reduced_after = div.minus_vertex(v)
-        if reduced_after.chips[v] >= 0:
-            witnesses.append(zero)
-            continue
-        red, script = q_reduce_with_script(graph, reduced_after, 0)
-        if not red.is_effective():
-            raise CertificateError("witness construction hit a non-effective reduction; this is a bug")
-        witnesses.append(script)
-    cert = PositiveRankCertificate(div, tuple(witnesses))
+def _build_certificate(graph: Graph, chips: tuple[int, ...], scripts: list[list[int]]) -> PositiveRankCertificate:
+    cert = PositiveRankCertificate(Divisor(chips), tuple(FiringScript(tuple(s)) for s in scripts))
     if not verify_certificate(graph, cert):
         raise CertificateError("gonality certificate failed re-verification")
     return cert

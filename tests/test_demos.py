@@ -1,0 +1,29 @@
+"""Smoke test for the quick demos: they run and print what they promise.
+
+Demos 03 and 04 are left out; they take tens of seconds each.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("01_chip_firing_basics.py", ()),
+    ("02_gonality_and_certificates.py", ("certificate verifies: True", "(effective: True)")),
+])
+def test_demo_runs(name, expected):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for text in expected:
+        assert text in proc.stdout

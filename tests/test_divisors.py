@@ -7,6 +7,7 @@ from functools import cached_property
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gonality import (
     DisconnectedGraphError,
@@ -323,6 +324,19 @@ class TestRank:
             g = random_connected_graph(rnd, rnd.randint(2, 6), 0.5)
             d = random_divisor(rnd, g.n, bound=2)
             assert (rank(g, d) >= 1) == has_positive_rank(g, d)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(st.data())
+    def test_positive_rank_iff_rank_at_least_one_property(self, data):
+        n = data.draw(st.integers(1, 7))
+        # a random spanning tree keeps the graph connected; extra edges on top
+        edges = {(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        extra = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges |= {e for e, keep in zip(pairs, extra) if keep}
+        g = build_graph(n, sorted(edges))
+        d = Divisor(tuple(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))))
+        assert has_positive_rank(g, d) == (rank(g, d) >= 1)
 
     def test_riemann_roch_sample(self):
         # the exhaustive n <= 6 sweep lives in the acceptance suite

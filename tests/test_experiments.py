@@ -99,6 +99,18 @@ class TestRunTrial:
         assert row.gon_exact is None
         assert row.tw_exact is not None
 
+    def test_treewidth_past_its_size_limit_is_blank(self):
+        row = run_trial(17, 0.2, 1, "sandwich")
+        assert row.tw_exact is None
+        assert row.gon_lb == row.tw_lb
+
+    def test_budget_caps_both_searches(self):
+        for seed in range(3):
+            row = run_trial(10, 0.5, seed, "exact", budget=1)
+            assert not row.alpha_exact
+            assert row.gon_exact is None
+            assert run_trial(10, 0.5, seed, "exact").gon_exact is not None
+
     def test_deterministic(self):
         a = run_trial(9, 0.4, 77, "exact")
         b = run_trial(9, 0.4, 77, "exact")

@@ -18,6 +18,7 @@ from gonality import (
     cycle_graph,
     genus,
     gonality,
+    has_positive_rank,
     maximum_independent_set,
     min_degree,
     path_graph,
@@ -26,7 +27,6 @@ from gonality import (
     verify_certificate,
 )
 from gonality.search import _reduced_candidates
-from gonality.divisors import _reduced_has_positive_rank
 
 from oracles import (
     brute_gonality,
@@ -123,9 +123,29 @@ class TestGonalityResult:
             winners = [
                 chips
                 for chips in _reduced_candidates(g, result.value)
-                if _reduced_has_positive_rank(g, list(chips))
+                if has_positive_rank(g, Divisor(chips))
             ]
             assert result.certificate.divisor.chips == min(winners)
+
+    def test_witnesses_are_zero_where_the_divisor_holds_a_chip(self):
+        rnd = random.Random(35)
+        for _ in range(20):
+            g = random_connected_graph(rnd, rnd.randint(2, 8), 0.5)
+            cert = gonality(g).certificate
+            for v, c in enumerate(cert.divisor.chips):
+                if c > 0:
+                    assert cert.witnesses[v].fires == (0,) * g.n
+
+    def test_certificate_flag_does_not_change_the_search(self):
+        rnd = random.Random(36)
+        for _ in range(20):
+            g = random_connected_graph(rnd, rnd.randint(2, 8), 0.5)
+            mis = maximum_independent_set(g).independent.vertices
+            for kwargs in ({}, {"lower_bound": treewidth_exact(g)[0], "independent_set": mis}):
+                bare = gonality(g, with_certificate=False, **kwargs)
+                full = gonality(g, with_certificate=True, **kwargs)
+                assert bare.certificate is None
+                assert (bare.value, bare.degrees_searched) == (full.value, full.degrees_searched)
 
     def test_budget_exhaustion_is_distinct(self):
         g = complete_graph(6)
@@ -155,6 +175,35 @@ class TestGonalityResult:
             assert treewidth_exact(g)[0] <= value
             assert value <= g.n - maximum_independent_set(g).alpha
             assert value >= min_degree(g)
+
+
+class TestPositiveRankAgainstBaseZero:
+    """The scan's test reduces ``D - v`` at v; the reference reduces it at 0."""
+
+    @staticmethod
+    def base_zero_reference(g, d):
+        return all(q_reduce(g, d.minus_vertex(v)).chips[0] >= 0 for v in range(g.n))
+
+    def test_every_stable_candidate_up_to_eight_vertices(self):
+        rnd = random.Random(37)
+        checked = 0
+        for _ in range(24):
+            g = random_connected_graph(rnd, rnd.randint(2, 8), rnd.choice((0.3, 0.5, 0.8)))
+            for deg in range(1, g.n + 1):
+                for chips in _reduced_candidates(g, deg):
+                    d = Divisor(chips)
+                    assert has_positive_rank(g, d) == self.base_zero_reference(g, d)
+                    checked += 1
+        assert checked > 1000
+
+    def test_brute_force_agrees_up_to_five_vertices(self):
+        rnd = random.Random(38)
+        for _ in range(8):
+            g = random_connected_graph(rnd, rnd.randint(2, 5), 0.6)
+            for deg in range(1, g.n + 1):
+                for chips in _reduced_candidates(g, deg):
+                    expected = brute_positive_rank(g, chips, 4)
+                    assert has_positive_rank(g, Divisor(chips)) == expected
 
 
 class TestComplementDivisor:
