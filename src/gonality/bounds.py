@@ -58,11 +58,13 @@ class IndependentSet:
 @dataclass(frozen=True)
 class MISResult:
     """Search outcome; ``exact`` is False when the node budget ran out and
-    the set is only a certified lower bound for alpha."""
+    the set is only a certified lower bound for alpha.  ``nodes_pruned``
+    counts the explored nodes that the clique-cover bound cut."""
 
     independent: IndependentSet
     exact: bool
     nodes_explored: int
+    nodes_pruned: int = 0
 
     @property
     def alpha(self) -> int:
@@ -163,76 +165,85 @@ def treewidth_lower_bound(graph: Graph) -> int:
 def maximum_independent_set(graph: Graph, budget: Optional[int] = None) -> MISResult:
     """Exact maximum independent set by branch and bound.
 
-    Branches on a maximum-degree vertex (exclude it, or include it and drop
-    its closed neighborhood), primed with a greedy incumbent and pruned with
-    a greedy clique-cover bound.  A node ``budget`` turns exhaustion into a
-    flagged lower bound instead of an error.
+    Branches on a vertex of maximum degree within the remaining pool
+    (include it and drop its closed neighborhood, or exclude it), primed
+    with a greedy incumbent and pruned with a greedy clique-cover bound.
+    A node ``budget`` turns exhaustion into a flagged lower bound instead of
+    an error.
+
+    The search runs on relabelled bitsets: label r is the r-th vertex in
+    descending-degree order (ties by vertex), so each clique-cover seed and
+    each clique member is the lowest set bit of its mask.  Branching-vertex
+    ties still break by the original vertex label.  An explicit stack
+    replaces recursion and pops the include child first, so deep searches on
+    large sparse graphs cannot exhaust Python's recursion limit.
     """
     n = graph.n
-    adj = graph.adjacency_bits
     if n == 0:
         return MISResult(IndependentSet(frozenset()), True, 0)
 
-    by_desc_degree = sorted(range(n), key=lambda v: (-graph.degree(v), v))
+    deg = graph.degrees
+    order = sorted(range(n), key=lambda v: (-deg[v], v))
+    label = [0] * n
+    for r, v in enumerate(order):
+        label[v] = r
+    adj = [sum(1 << label[w] for w in graph.adjacency[v]) for v in order]
 
     # greedy incumbent: take vertices in ascending degree, skip conflicts
-    chosen = 0
+    best = 0
     blocked = 0
-    for v in sorted(range(n), key=lambda u: (graph.degree(u), u)):
-        b = 1 << v
+    for v in sorted(range(n), key=lambda u: (deg[u], u)):
+        r = label[v]
+        b = 1 << r
         if not (blocked & b):
-            chosen |= b
-            blocked |= b | adj[v]
-    best_mask = [chosen]
-    best_size = [chosen.bit_count()]
-    nodes = [0]
-    truncated = [False]
+            best |= b
+            blocked |= b | adj[r]
+    best_size = best.bit_count()
 
-    def cover_bound(pool: int) -> int:
+    nodes = pruned = 0
+    truncated = False
+    stack = [((1 << n) - 1, 0, 0)]
+    while stack:
+        pool, picked, size = stack.pop()
+        nodes += 1
+        if budget is not None and nodes > budget:
+            truncated = True
+            break
+        if not pool:
+            if size > best_size:
+                best, best_size = picked, size
+            continue
+        # greedy clique cover; stop counting once it can no longer prune
+        slack = best_size - size
         rem = pool
         k = 0
-        while rem:
+        while rem and k <= slack:
             k += 1
-            u = next(c for c in by_desc_degree if rem & (1 << c))
-            clique = 1 << u
-            inter = adj[u] & rem
+            low = rem & -rem
+            rem ^= low
+            inter = adj[low.bit_length() - 1] & rem
             while inter:
-                w = next(c for c in by_desc_degree if inter & (1 << c))
-                clique |= 1 << w
-                inter &= adj[w]
-            rem &= ~clique
-        return k
-
-    def bb(pool: int, picked: int, size: int) -> None:
-        nodes[0] += 1
-        if budget is not None and nodes[0] > budget:
-            truncated[0] = True
-            return
-        if not pool:
-            if size > best_size[0]:
-                best_size[0] = size
-                best_mask[0] = picked
-            return
-        if size + cover_bound(pool) <= best_size[0]:
-            return
+                low = inter & -inter
+                rem ^= low
+                inter &= adj[low.bit_length() - 1]
+        if k <= slack:
+            pruned += 1
+            continue
         v, vdeg = -1, -1
         m = pool
         while m:
             low = m & -m
             u = low.bit_length() - 1
             d = (adj[u] & pool).bit_count()
-            if d > vdeg:
-                vdeg = d
-                v = u
+            if d > vdeg or (d == vdeg and order[u] < order[v]):
+                v, vdeg = u, d
             m ^= low
         b = 1 << v
-        bb(pool & ~(adj[v] | b), picked | b, size + 1)
-        if not truncated[0]:
-            bb(pool & ~b, picked, size)
+        stack.append((pool & ~b, picked, size))
+        stack.append((pool & ~(adj[v] | b), picked | b, size + 1))
 
-    bb((1 << n) - 1, 0, 0)
-    vertices = frozenset(v for v in range(n) if best_mask[0] & (1 << v))
-    return MISResult(IndependentSet(vertices), not truncated[0], nodes[0])
+    vertices = frozenset(order[r] for r in range(n) if best >> r & 1)
+    return MISResult(IndependentSet(vertices), not truncated, nodes, pruned)
 
 
 def frieze_alpha_estimate(n: int, c: float) -> float:

@@ -1,12 +1,20 @@
+import inspect
 import math
 import random
+import sys
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gonality import (
     EdgeCountError,
     ExperimentConfig,
+    GnpParams,
+    Graph,
     GonalityError,
+    IndependentSet,
+    MISResult,
     MalformedHeaderError,
     SizeLimitError,
     TreeDecomposition,
@@ -17,9 +25,11 @@ from gonality import (
     frieze_alpha_estimate,
     maximum_independent_set,
     min_degree,
+    mix_trial_seed,
     parse_tree_decomposition,
     path_graph,
     run_experiment,
+    sample_gnp,
     serialize_tree_decomposition,
     treewidth_exact,
     treewidth_lower_bound,
@@ -28,6 +38,83 @@ from gonality import (
 from gonality.bounds import _frieze_bracket
 
 from oracles import brute_alpha, brute_max_clique_complement, brute_treewidth, random_graph
+
+
+def _reference_mis(graph: Graph, budget: Optional[int] = None) -> MISResult:
+    """The recursive branch and bound on original labels, kept as an oracle
+    for the relabelled, stack-based library search; ``pruned`` is the only
+    addition."""
+    n = graph.n
+    adj = graph.adjacency_bits
+    if n == 0:
+        return MISResult(IndependentSet(frozenset()), True, 0)
+
+    by_desc_degree = sorted(range(n), key=lambda v: (-graph.degree(v), v))
+
+    # greedy incumbent: take vertices in ascending degree, skip conflicts
+    chosen = 0
+    blocked = 0
+    for v in sorted(range(n), key=lambda u: (graph.degree(u), u)):
+        b = 1 << v
+        if not (blocked & b):
+            chosen |= b
+            blocked |= b | adj[v]
+    best_mask = [chosen]
+    best_size = [chosen.bit_count()]
+    nodes = [0]
+    pruned = [0]
+    truncated = [False]
+
+    def cover_bound(pool: int) -> int:
+        rem = pool
+        k = 0
+        while rem:
+            k += 1
+            u = next(c for c in by_desc_degree if rem & (1 << c))
+            clique = 1 << u
+            inter = adj[u] & rem
+            while inter:
+                w = next(c for c in by_desc_degree if inter & (1 << c))
+                clique |= 1 << w
+                inter &= adj[w]
+            rem &= ~clique
+        return k
+
+    def bb(pool: int, picked: int, size: int) -> None:
+        nodes[0] += 1
+        if budget is not None and nodes[0] > budget:
+            truncated[0] = True
+            return
+        if not pool:
+            if size > best_size[0]:
+                best_size[0] = size
+                best_mask[0] = picked
+            return
+        if size + cover_bound(pool) <= best_size[0]:
+            pruned[0] += 1
+            return
+        v, vdeg = -1, -1
+        m = pool
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            d = (adj[u] & pool).bit_count()
+            if d > vdeg:
+                vdeg = d
+                v = u
+            m ^= low
+        b = 1 << v
+        bb(pool & ~(adj[v] | b), picked | b, size + 1)
+        if not truncated[0]:
+            bb(pool & ~b, picked, size)
+
+    bb((1 << n) - 1, 0, 0)
+    vertices = frozenset(v for v in range(n) if best_mask[0] & (1 << v))
+    return MISResult(IndependentSet(vertices), not truncated[0], nodes[0], pruned[0])
+
+
+def _is_independent(graph: Graph, vertices) -> bool:
+    return all(not (u in vertices and v in vertices) for u, v in graph.edges)
 
 
 def grid_graph(rows, cols):
@@ -218,6 +305,64 @@ class TestMaximumIndependentSet:
         vs = result.independent.vertices
         assert all(not (u in vs and v in vs) for u, v in g.edges)
         assert result.alpha <= maximum_independent_set(g).alpha
+
+    def test_positional_construction_defaults_prunes_to_zero(self):
+        result = MISResult(IndependentSet(frozenset({0})), True, 1)
+        assert result.nodes_pruned == 0
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.data())
+    def test_alpha_matches_brute_force_property(self, data):
+        n = data.draw(st.integers(0, 12))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = build_graph(n, [e for e, k in zip(pairs, keep) if k])
+        result = maximum_independent_set(g)
+        assert result.exact
+        assert result.alpha == brute_alpha(g)
+        assert _is_independent(g, result.independent.vertices)
+
+
+class TestMISAgainstReference:
+    """The relabelled, stack-based search visits the same nodes as the
+    recursive original: same set, node count, prune count and flag."""
+
+    @staticmethod
+    def outcome(result: MISResult):
+        return (result.alpha, result.independent.vertices, result.nodes_explored,
+                result.exact, result.nodes_pruned)
+
+    def test_random_graphs_every_budget(self):
+        rnd = random.Random(48)
+        for _ in range(200):
+            g = random_graph(rnd, rnd.randint(1, 30), rnd.random())
+            for budget in (None, 1, 3, 17):
+                assert self.outcome(maximum_independent_set(g, budget)) == \
+                    self.outcome(_reference_mis(g, budget))
+
+    @pytest.mark.parametrize("n", [55, 60, 65])
+    def test_sandwich_series(self, n):
+        for trial in range(2):
+            g = sample_gnp(GnpParams(n, 20.0, mix_trial_seed(0, n, trial)))
+            result = maximum_independent_set(g)
+            assert result.exact and result.nodes_pruned > 0
+            assert self.outcome(result) == self.outcome(_reference_mis(g))
+
+    def test_deep_sparse_search_needs_no_recursion(self):
+        # the recursive search on 120 disjoint 5-cycles reaches depth 125
+        # within 400 nodes; give it only 60 frames of headroom
+        g = build_graph(600, [(5 * i + j, 5 * i + (j + 1) % 5) for i in range(120) for j in range(5)])
+        limit = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(len(inspect.stack()) + 60)
+            with pytest.raises(RecursionError):
+                _reference_mis(g, budget=400)
+            result = maximum_independent_set(g, budget=400)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert not result.exact
+        assert result.nodes_explored == 401
+        assert _is_independent(g, result.independent.vertices)
 
 
 class TestFriezeEstimate:
