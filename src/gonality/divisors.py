@@ -270,25 +270,31 @@ def _reduce_chips(graph: Graph, chips: list[int], q: int, script: Optional[list[
     if not (0 <= q < n):
         raise GonalityError(f"base vertex {q} outside [0, {n})")
     adj = graph.adjacency
-    layers, e_in, e_out = _bfs_layers(graph, q)
 
     # phase 1: for each layer (far to near), fire the ball inside it until
-    # the layer is debt-free; only the ball's boundary layer pays.
-    for i in range(len(layers) - 1, 0, -1):
-        t = 0
-        for u in layers[i]:
-            if chips[u] < 0:
-                t = max(t, (-chips[u] + e_in[u] - 1) // e_in[u])
-        if t == 0:
-            continue
-        for u in layers[i]:
-            chips[u] += t * e_in[u]
-        for w in layers[i - 1]:
-            chips[w] -= t * e_out[w]
-        if script is not None:
-            for j in range(i):
-                for w in layers[j]:
-                    script[w] += t
+    # the layer is debt-free; only the ball's boundary layer pays.  Skipped
+    # when nothing away from q is in debt, as it would fire nothing.
+    at_q = chips[q]
+    chips[q] = 0
+    debt = min(chips) < 0
+    chips[q] = at_q
+    if debt:
+        layers, e_in, e_out = _bfs_layers(graph, q)
+        for i in range(len(layers) - 1, 0, -1):
+            t = 0
+            for u in layers[i]:
+                if chips[u] < 0:
+                    t = max(t, (-chips[u] + e_in[u] - 1) // e_in[u])
+            if t == 0:
+                continue
+            for u in layers[i]:
+                chips[u] += t * e_in[u]
+            for w in layers[i - 1]:
+                chips[w] -= t * e_out[w]
+            if script is not None:
+                for j in range(i):
+                    for w in layers[j]:
+                        script[w] += t
 
     # phase 2: Dhar iterations; fire the unburnt set maximally each round.
     while True:

@@ -56,6 +56,18 @@ class Graph:
         return tuple(bits)
 
     @cached_property
+    def adjacency_matrix(self) -> np.ndarray:
+        """0/1 adjacency matrix, for burning many divisors at once: a 0/1
+        row of burnt vertices times it counts each vertex's burnt neighbors
+        (exactly, as float32 holds every count up to 2**24)."""
+        mat = np.zeros((self.n, self.n), dtype=np.float32)
+        if self.edges:
+            us, vs = np.array(self.edges).T
+            mat[us, vs] = mat[vs, us] = 1
+        mat.setflags(write=False)  # shared by every caller, like the graph
+        return mat
+
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
         deg = [0] * self.n
         for u, v in self.edges:

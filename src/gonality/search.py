@@ -6,6 +6,14 @@ q-reduced effective divisors with at least one chip on the base vertex.
 Every positive-rank class contains exactly one such representative, so the
 scan is complete and duplicate-free.
 
+The scan is batched.  A degree's candidate vectors are built in ascending
+lex order as numpy chunks of bounded size, and Dhar's burn runs on a whole
+chunk at once: the burn from the base keeps the q-reduced rows, and a burn
+from a chip-free vertex v that consumes the graph refutes a row.  The rows
+left go in lex order to the scalar positive-rank test, which decides them
+and supplies the witness scripts, so the first row it accepts is the
+lex-first hit.
+
 Every reported value carries a certificate: the witness divisor plus, for
 each vertex v, a firing script taking ``divisor - v`` to an effective
 divisor.  The positive-rank test that accepts the witness produces these
@@ -20,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .divisors import (
     Divisor,
     FiringScript,
@@ -29,7 +39,6 @@ from .divisors import (
     parse_firing_script,
     serialize_divisor,
     serialize_firing_script,
-    _dhar_unburnt,
     _positive_rank_scripts,
     _rank_of_reduced,
     _reduce_chips,
@@ -280,58 +289,136 @@ def _extend_to_maximal(graph: Graph, independent: frozenset[int]) -> frozenset[i
     return frozenset(out)
 
 
-def _assignments(caps: list[int], total: int) -> Iterator[tuple[int, ...]]:
-    """All vectors with given per-slot caps and exact sum, ascending lex order."""
-    n = len(caps)
-    suffix = [0] * (n + 1)
+# Rows per candidate chunk: bounds the scan's memory at any n.
+_CHUNK_ROWS = 2048
+
+
+def _candidate_chunks(graph: Graph, d: int, budget: Optional[int]) -> Iterator[np.ndarray]:
+    """Degree-d candidate chip vectors in ascending lex order, as int arrays
+    of at most ``_CHUNK_ROWS`` rows.
+
+    Slot 0 holds 1 to d chips; slot v holds 0 to ``val(v) - 1``, the most a
+    q-reduced divisor can hold there.  Prefix blocks wait on a stack; each
+    step takes the longest run of a block's rows whose completions fit in
+    one chunk and grows them slot by slot to full vectors, or, when the
+    first row alone has too many, grows that row by one slot.  Every prefix
+    on the stack has a completion, so the stack is empty exactly when no
+    vectors are left.  ``budget`` caps the vectors emitted: no row past it
+    is built, and the error is raised only when a further vector exists.
+    """
+    n = graph.n
+    if d < 1:
+        return
+    caps = [d - 1] + [graph.degree(v) - 1 for v in range(1, n)]
+    # room[i]: the most chips slots i.. can take; ways[i, r]: the number of
+    # ways slots i.. can take exactly r chips, capped above any chunk
+    room = np.cumsum(caps[::-1])[::-1].tolist() + [0]
+    ways = np.zeros((n + 1, d), dtype=np.int64)
+    ways[n, 0] = 1
     for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + caps[i]
-    out = [0] * n
+        conv = np.convolve(ways[i + 1], np.ones(caps[i] + 1, dtype=np.int64))[:d]
+        ways[i] = np.minimum(conv, _CHUNK_ROWS + 1)
+    if ways[0, d - 1] == 0:
+        return
 
-    def rec(i: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            if remaining == 0:
-                yield tuple(out)
-            return
-        low = max(0, remaining - suffix[i + 1])
-        high = min(caps[i], remaining)
-        for val in range(low, high + 1):
-            out[i] = val
-            yield from rec(i + 1, remaining - val)
+    def grow(rows, left, i):
+        # every value slot i can take with the later slots still completable
+        low = np.maximum(0, left - room[i + 1])
+        width = np.minimum(caps[i], left) - low + 1
+        ends = width.cumsum()
+        values = np.arange(ends[-1]) - (ends - width - low).repeat(width)
+        rows = rows.repeat(width, axis=0)
+        rows[:, i] = values
+        return rows, left.repeat(width) - values
 
-    if 0 <= total <= suffix[0]:
-        yield from rec(0, total)
+    # the narrowest signed type holding every entry, the slot-0 +1 included
+    dtype = np.min_scalar_type(-max(d, n) - 1)
+    stack = [(np.zeros((1, n), dtype=dtype), np.array([d - 1], dtype=np.int64), 0)]
+    emitted = 0
+    while stack:
+        if budget is not None and emitted >= budget:
+            raise BudgetExceededError(f"degree-{d} scan exceeded budget of {budget} candidates")
+        limit = _CHUNK_ROWS if budget is None else min(_CHUNK_ROWS, budget - emitted)
+        rows, left, i = stack.pop()
+        take = max(1, int(ways[i, left].cumsum().searchsorted(limit, side="right")))
+        if take < len(rows):
+            stack.append((rows[take:], left[take:], i))
+        rows, left = rows[:take], left[:take]
+        if ways[i, left[0]] > limit:
+            stack.append((*grow(rows, left, i), i + 1))
+            continue
+        for j in range(i, n):
+            rows, left = grow(rows, left, j)
+        rows[:, 0] += 1
+        emitted += len(rows)
+        yield rows
+
+
+def _burns_everything(graph: Graph, chips: np.ndarray, sources) -> np.ndarray:
+    """Per row, whether Dhar's burn from that row's source reaches every
+    vertex.
+
+    A vertex burns once its burnt neighbors outnumber its chips; the chips
+    at the source do not matter.  ``sources`` is one vertex for all rows or
+    one per row.
+    """
+    adj = graph.adjacency_matrix
+    lit = (np.arange(len(chips)), sources)
+    burnt = np.zeros(chips.shape, dtype=bool)
+    burnt[lit] = True
+    count = len(chips)
+    while True:
+        burnt = burnt @ adj > chips
+        burnt[lit] = True
+        grown = np.count_nonzero(burnt)
+        if grown == count:
+            return burnt.all(axis=1)
+        count = grown
+
+
+def _stable_chunks(graph: Graph, d: int, budget: Optional[int]) -> Iterator[np.ndarray]:
+    """The candidate chunks of degree d, cut to their q-reduced rows."""
+    for chips in _candidate_chunks(graph, d, budget):
+        yield chips[_burns_everything(graph, chips, 0)]
 
 
 def _reduced_candidates(graph: Graph, d: int, budget: Optional[int] = None) -> Iterator[tuple[int, ...]]:
     """q-reduced effective divisors of degree d with >= 1 chip at base 0.
 
-    Yielded in ascending lexicographic chip order.  Off-base entries are
-    bounded by valence - 1 (necessary for Dhar stability); each surviving
-    vector is confirmed stable by a burning pass.  ``budget`` caps the
+    Yielded in ascending lexicographic chip order.  ``budget`` caps the
     vectors enumerated, counted before the burning pass.
     """
-    caps = [d - 1] + [graph.degree(v) - 1 for v in range(1, graph.n)]
-    count = 0
-    for rest in _assignments(caps, d - 1):
-        count += 1
-        if budget is not None and count > budget:
-            raise BudgetExceededError(
-                f"degree-{d} scan exceeded budget of {budget} candidates"
-            )
-        chips = (rest[0] + 1, *rest[1:])
-        if not _dhar_unburnt(graph, list(chips), 0):
-            yield chips
+    for rows in _stable_chunks(graph, d, budget):
+        yield from map(tuple, rows.tolist())
 
 
 def _scan_degree(graph: Graph, d: int,
                  budget: Optional[int]) -> Optional[tuple[tuple[int, ...], list[list[int]]]]:
     """First positive-rank q-reduced divisor of degree d in lex order, with
-    its witness scripts, if any."""
-    for chips in _reduced_candidates(graph, d, budget):
-        scripts = _positive_rank_scripts(graph, chips)
-        if scripts is not None:
-            return chips, scripts
+    its witness scripts, if any.
+
+    A row with no chip at v is refuted when the burn from v consumes the
+    whole graph, because ``D - v`` is then v-reduced with -1 at v.  The
+    rows no such burn refutes go in order to the scalar test, which decides
+    the rest and supplies the scripts.
+    """
+    for rows in _stable_chunks(graph, d, budget):
+        # burn each row from its first chip-free vertex, which refutes most
+        # rows that fail, then the rows left from all their other ones, at
+        # most a chunk of (row, vertex) pairs per burn
+        row, v = np.nonzero(rows == 0)
+        first = np.ones(len(row), dtype=bool)
+        first[1:] = row[1:] != row[:-1]
+        refuted = np.zeros(len(rows), dtype=bool)
+        for pick in (first, ~first):
+            pairs = np.flatnonzero(pick & ~refuted[row])
+            for part in np.split(pairs, range(_CHUNK_ROWS, len(pairs), _CHUNK_ROWS)):
+                refuted[row[part][_burns_everything(graph, rows[row[part]], v[part])]] = True
+        rows = rows[~refuted]
+        for chips in map(tuple, rows.tolist()):
+            scripts = _positive_rank_scripts(graph, chips)
+            if scripts is not None:
+                return chips, scripts
     return None
 
 

@@ -1,7 +1,7 @@
-"""Smoke test for the quick demos: they run and print what they promise.
+"""Smoke test for the demos: they run and print what they promise.
 
-Demo 04 is left out; it takes tens of seconds.  Demo 03's last line pins
-the branch and bound's node count end to end.
+Demo 03's last line pins the branch and bound's node count end to end, and
+demo 04's n = 12 rows pin both experiment series' means.
 """
 
 import os
@@ -18,6 +18,11 @@ ROOT = Path(__file__).resolve().parent.parent
     ("01_chip_firing_basics.py", ()),
     ("02_gonality_and_certificates.py", ("certificate verifies: True", "(effective: True)")),
     ("03_bounds_sandwich.py", ("branch and bound found 25 (exact, 47885 nodes)",)),
+    ("04_random_graph_experiment.py", (
+        "12,3.4641016151377544,40,0.4104166666666666,0.08520860107997139,",
+        "12,10.8,40,0.8166666666666662,0.033757978902788886,",
+        "every row's seed is a pure mix of (master seed, n, trial).",
+    )),
 ])
 def test_demo_runs(name, expected):
     env = dict(os.environ)

@@ -1,6 +1,10 @@
+import functools
 import random
+import tracemalloc
+from typing import Iterator, Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gonality import (
     BudgetExceededError,
@@ -26,6 +30,8 @@ from gonality import (
     treewidth_exact,
     verify_certificate,
 )
+from gonality import search
+from gonality.divisors import _dhar_unburnt, _positive_rank_scripts
 from gonality.search import _reduced_candidates
 
 from oracles import (
@@ -204,6 +210,173 @@ class TestPositiveRankAgainstBaseZero:
                 for chips in _reduced_candidates(g, deg):
                     expected = brute_positive_rank(g, chips, 4)
                     assert has_positive_rank(g, Divisor(chips)) == expected
+
+
+# -- scalar reference scan ----------------------------------------------------
+# The one-candidate-at-a-time scan that the batched kernel replaced, copied
+# unchanged apart from the ``_scalar_`` names, as the oracle for it.
+
+def _assignments(caps: list[int], total: int) -> Iterator[tuple[int, ...]]:
+    """All vectors with given per-slot caps and exact sum, ascending lex order."""
+    n = len(caps)
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + caps[i]
+    out = [0] * n
+
+    def rec(i: int, remaining: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            if remaining == 0:
+                yield tuple(out)
+            return
+        low = max(0, remaining - suffix[i + 1])
+        high = min(caps[i], remaining)
+        for val in range(low, high + 1):
+            out[i] = val
+            yield from rec(i + 1, remaining - val)
+
+    if 0 <= total <= suffix[0]:
+        yield from rec(0, total)
+
+
+def _scalar_reduced_candidates(graph, d: int, budget: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """q-reduced effective divisors of degree d with >= 1 chip at base 0.
+
+    Yielded in ascending lexicographic chip order.  Off-base entries are
+    bounded by valence - 1 (necessary for Dhar stability); each surviving
+    vector is confirmed stable by a burning pass.  ``budget`` caps the
+    vectors enumerated, counted before the burning pass.
+    """
+    caps = [d - 1] + [graph.degree(v) - 1 for v in range(1, graph.n)]
+    count = 0
+    for rest in _assignments(caps, d - 1):
+        count += 1
+        if budget is not None and count > budget:
+            raise BudgetExceededError(
+                f"degree-{d} scan exceeded budget of {budget} candidates"
+            )
+        chips = (rest[0] + 1, *rest[1:])
+        if not _dhar_unburnt(graph, list(chips), 0):
+            yield chips
+
+
+def _scalar_scan_degree(graph, d: int,
+                        budget: Optional[int]) -> Optional[tuple[tuple[int, ...], list[list[int]]]]:
+    """First positive-rank q-reduced divisor of degree d in lex order, with
+    its witness scripts, if any."""
+    for chips in _scalar_reduced_candidates(graph, d, budget):
+        scripts = _positive_rank_scripts(graph, chips)
+        if scripts is not None:
+            return chips, scripts
+    return None
+
+
+def _outcome(call):
+    try:
+        return call()
+    except BudgetExceededError as exc:
+        return "budget", str(exc)
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_outcomes(g, d, budget):
+    return (_outcome(lambda: _scalar_scan_degree(g, d, budget)),
+            _outcome(lambda: list(_scalar_reduced_candidates(g, d, budget))))
+
+
+def _batched_outcomes(g, d, budget):
+    return (_outcome(lambda: search._scan_degree(g, d, budget)),
+            _outcome(lambda: list(_reduced_candidates(g, d, budget))))
+
+
+def _oracle_corpus():
+    graphs = [g for g in connected_atlas(6) if g.n >= 2]
+    rnd = random.Random(39)
+    for _ in range(60):
+        graphs.append(random_connected_graph(rnd, rnd.randint(2, 10), rnd.choice((0.3, 0.5, 0.9))))
+    return graphs
+
+
+_ORACLE_BUDGETS = (None, 1, 2, 3, 17, 500)
+
+
+class TestBatchedScanAgainstScalar:
+    """The batched kernel returns what the scalar scan returned: the same
+    hit and scripts, the same Dhar-filtered candidates, or the same budget
+    error.  Chunk size 7 runs the multi-chunk path on every degree past
+    the first few."""
+
+    @pytest.mark.parametrize("chunk", [search._CHUNK_ROWS, 7])
+    def test_every_degree_and_budget(self, chunk, monkeypatch):
+        monkeypatch.setattr(search, "_CHUNK_ROWS", chunk)
+        hits = budget_errors = 0
+        for g in _oracle_corpus():
+            for d in range(1, g.n + 1):
+                for budget in _ORACLE_BUDGETS:
+                    expected = _scalar_outcomes(g, d, budget)
+                    assert _batched_outcomes(g, d, budget) == expected, (g.edges, d, budget)
+                    hits += expected[0] is not None and expected[0][0] != "budget"
+                    budget_errors += expected[0] is not None and expected[0][0] == "budget"
+        assert hits > 1000 and budget_errors > 1000
+
+    def test_chunks_are_bounded_and_in_lex_order(self, monkeypatch):
+        monkeypatch.setattr(search, "_CHUNK_ROWS", 7)
+        rnd = random.Random(40)
+        for _ in range(20):
+            g = random_connected_graph(rnd, rnd.randint(2, 9), 0.6)
+            for d in range(1, g.n + 1):
+                chunks = list(search._candidate_chunks(g, d, None))
+                assert all(1 <= len(c) <= 7 for c in chunks)
+                rows = [tuple(r) for c in chunks for r in c.tolist()]
+                caps = [d - 1] + [g.degree(v) - 1 for v in range(1, g.n)]
+                assert rows == [(r[0] + 1, *r[1:]) for r in _assignments(caps, d - 1)]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(st.data())
+    def test_batched_and_scalar_kernels_agree_property(self, data):
+        n = data.draw(st.integers(2, 8))
+        # a random spanning tree keeps the graph connected; extra edges on top
+        edges = {(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        extra = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges |= {e for e, keep in zip(pairs, extra) if keep}
+        g = build_graph(n, sorted(edges))
+        d = data.draw(st.integers(1, n))
+        budget = data.draw(st.one_of(st.none(), st.integers(0, 60)))
+        chunk = data.draw(st.sampled_from((1, 2, 5, search._CHUNK_ROWS)))
+        saved = search._CHUNK_ROWS
+        search._CHUNK_ROWS = chunk
+        try:
+            assert _batched_outcomes(g, d, budget) == _scalar_outcomes(g, d, budget)
+        finally:
+            search._CHUNK_ROWS = saved
+
+
+class TestScanAllocation:
+    """Rows past the budget are never built, so a budgeted scan of a huge
+    degree allocates next to nothing: about 0.2 MiB here, where one full
+    chunk of K40 rows would take about 1 MiB."""
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as info:
+                call()
+            return info.value, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_complete_graph_40(self):
+        exc, peak = self.traced_peak(lambda: gonality(complete_graph(40), budget=10))
+        assert exc.degrees_refuted == (1,)
+        assert peak < 2**19
+
+    def test_degree_20_of_complete_graph_40(self):
+        # degree 20 has C(58, 19), about 9.5e14, candidate vectors
+        exc, peak = self.traced_peak(lambda: gonality(complete_graph(40), budget=10, lower_bound=20))
+        assert exc.degrees_refuted == ()
+        assert peak < 2**19
 
 
 class TestComplementDivisor:
