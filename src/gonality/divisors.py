@@ -95,28 +95,23 @@ def q_reduce(graph: Graph, div: Divisor, q: int = 0) -> Divisor:
     Requires a connected graph.  Idempotent, and constant on linear
     equivalence classes.
     """
-    chips = _reduce_chips(graph, list(div.chips), q)
-    return Divisor(tuple(chips))
+    return Divisor(tuple(_reduced(graph, div, q)))
 
 
 def q_reduce_with_script(graph: Graph, div: Divisor, q: int = 0) -> tuple[Divisor, FiringScript]:
     """Like :func:`q_reduce` but also returns the script that was applied."""
     script = [0] * graph.n
-    chips = _reduce_chips(graph, list(div.chips), q, script)
+    chips = _reduced(graph, div, q, script)
     return Divisor(tuple(chips)), FiringScript(tuple(script))
 
 
 def linearly_equivalent(graph: Graph, a: Divisor, b: Divisor) -> bool:
     """Whether some firing script transforms ``a`` into ``b``.
 
-    Decided by comparing q-reduced forms at base vertex 0; unequal degrees
-    are rejected immediately.
+    Decided by comparing q-reduced forms at base vertex 0.  Reduction keeps
+    the degree, so divisors of unequal degree never compare equal.
     """
-    _check_size(graph, a.chips, "divisor")
-    _check_size(graph, b.chips, "divisor")
-    if a.degree != b.degree:
-        return False
-    return _reduce_chips(graph, list(a.chips), 0) == _reduce_chips(graph, list(b.chips), 0)
+    return _reduced(graph, a) == _reduced(graph, b)
 
 
 def effective_representative(graph: Graph, div: Divisor) -> Optional[Divisor]:
@@ -126,8 +121,7 @@ def effective_representative(graph: Graph, div: Divisor) -> Optional[Divisor]:
     base vertex is nonnegative, so reduction decides existence and supplies
     the witness in one step.
     """
-    _check_size(graph, div.chips, "divisor")
-    chips = _reduce_chips(graph, list(div.chips), 0)
+    chips = _reduced(graph, div)
     if chips[0] < 0:
         return None
     return Divisor(tuple(chips))
@@ -135,8 +129,7 @@ def effective_representative(graph: Graph, div: Divisor) -> Optional[Divisor]:
 
 def has_positive_rank(graph: Graph, div: Divisor) -> bool:
     """Whether ``div - v`` is equivalent to an effective divisor for every v."""
-    _check_size(graph, div.chips, "divisor")
-    red = _reduce_chips(graph, list(div.chips), 0)
+    red = _reduced(graph, div)
     return red[0] >= 0 and _positive_rank_scripts(graph, red) is not None
 
 
@@ -145,15 +138,17 @@ def rank(graph: Graph, div: Divisor) -> int:
 
     ``-1`` when ``div`` has no effective equivalent; otherwise the largest k
     such that ``div - E`` keeps an effective equivalent for every effective E
-    of degree k.  Computed through the recursion
-    ``r(D) = 1 + min_v r(D - v)`` (with ``r = -1`` cut-off), memoized on
-    q-reduced forms so repeated queries against the same graph stay cheap.
-    The memo belongs to the ``graph`` object and is freed with it: an equal
-    but distinct :class:`Graph` starts with an empty memo.
+    of degree k.  Computed through the recursion ``r(D) = 1 + min_v r(D - v)``
+    on 0-reduced forms, with ``r = -1`` where the base vertex is in debt.
+    One loop walks it on an explicit stack, so deep divisors need no Python
+    recursion.  It reduces a child ``D - v`` only when its scan reaches v,
+    trying chip-free vertices first, and it stops a node's scan at the first
+    child of rank -1.  Every rank found is memoized on its reduced form, so
+    repeated queries against the same graph stay cheap.  The memo belongs
+    to the ``graph`` object and is freed with it: an equal but distinct
+    :class:`Graph` starts with an empty memo.
     """
-    _check_size(graph, div.chips, "divisor")
-    red = tuple(_reduce_chips(graph, list(div.chips), 0))
-    return _rank_of_reduced(graph, red)
+    return _rank_of_reduced(graph, tuple(_reduced(graph, div)))
 
 
 def serialize_divisor(div: Divisor) -> str:
@@ -184,6 +179,12 @@ def parse_firing_script(text: str, n: Optional[int] = None) -> FiringScript:
 def _check_size(graph: Graph, values: tuple[int, ...], what: str) -> None:
     if len(values) != graph.n:
         raise GonalityError(f"{what} has {len(values)} entries, graph has {graph.n} vertices")
+
+
+def _reduced(graph: Graph, div: Divisor, q: int = 0, script: Optional[list[int]] = None) -> list[int]:
+    """Size-checked :func:`_reduce_chips` on a copy of ``div``'s chips."""
+    _check_size(graph, div.chips, "divisor")
+    return _reduce_chips(graph, list(div.chips), q, script)
 
 
 def _require_connected(graph: Graph) -> None:
@@ -238,7 +239,11 @@ def _dhar_unburnt(graph: Graph, chips: list[int], q: int) -> list[tuple[int, int
     ``(v, burnt_neighbor_count)`` for each unburnt vertex; the count doubles
     as v's out-degree across the unburnt set's boundary.  Empty result means
     the whole graph burnt, i.e. the divisor is q-reduced (given chips are
-    nonnegative away from q).
+    nonnegative away from q).  It stays beside the batched
+    ``search._burns_everything``: run as a 1-row burn in
+    :func:`_reduce_chips`, that kernel made the ``divisor_queries``
+    benchmark about three times slower, as each small burn pays numpy's
+    fixed per-call cost.
     """
     adj = graph.adjacency
     burnt_nbrs = [0] * graph.n
@@ -313,20 +318,6 @@ def _reduce_chips(graph: Graph, chips: list[int], q: int, script: Optional[list[
                 script[v] += t
 
 
-def _reduced_after_decrement(graph: Graph, red: tuple[int, ...], v: int) -> tuple[int, ...]:
-    """q-reduced form of ``red - v`` given that ``red`` is 0-reduced.
-
-    Removing a chip keeps the divisor reduced unless it drives vertex v
-    negative, so a full re-reduction is only needed when ``red[v] == 0``
-    away from the base.
-    """
-    chips = list(red)
-    chips[v] -= 1
-    if v == 0 or chips[v] >= 0:
-        return tuple(chips)
-    return tuple(_reduce_chips(graph, chips, 0))
-
-
 def _positive_rank_scripts(graph: Graph, chips: Sequence[int]) -> Optional[list[list[int]]]:
     """For effective ``chips``, one script per v taking ``chips - v`` to an
     effective divisor, or ``None`` if some v has none.
@@ -348,50 +339,40 @@ def _positive_rank_scripts(graph: Graph, chips: Sequence[int]) -> Optional[list[
     return scripts
 
 
-def _rank_of_reduced(graph: Graph, red: tuple[int, ...]) -> int:
-    """Iterative evaluation of the rank recursion, memoized in the ``graph``
-    object's own rank table, which is freed with the graph."""
+def _rank_of_reduced(graph: Graph, key: tuple[int, ...]) -> int:
+    """Rank of the 0-reduced divisor ``key``; the loop :func:`rank` describes.
+
+    A frame is ``[key, vertex order, next index, min child rank]``.  Every
+    rank found goes into the ``graph`` object's own memo.
+    """
     cache = graph._rank_memo
-    hit = cache.get(red)
-    if hit is not None:
-        return hit
-
-    # sentinel exceeding any attainable rank: rank never exceeds degree,
-    # and every divisor reached below has degree at most the root's
-    sentinel = sum(abs(c) for c in red) + 1
-
-    # frames: [key, child_keys or None, next_child_index, min_child_rank]
-    frames: list[list] = [[red, None, 0, sentinel]]
-    while frames:
+    frames: list[list] = []
+    while True:
+        r = cache.get(key)
+        if r is None and key[0] >= 0:
+            # chip-free vertices first: their children are the likeliest to
+            # have rank -1.  A child has degree deg D - 1, so its rank is
+            # below deg D, where the min starts.
+            frames.append([key, sorted(range(graph.n), key=key.__getitem__), 0, sum(key)])
+        else:
+            if r is None:
+                r = cache[key] = -1
+            # hand r to its parent, and close every frame that this finishes
+            while frames:
+                fr = frames[-1]
+                fr[3] = min(fr[3], r)
+                if fr[3] > -1 and fr[2] < graph.n:
+                    break
+                r = cache[fr[0]] = fr[3] + 1
+                frames.pop()
+            else:
+                return r
         fr = frames[-1]
-        key = fr[0]
-        if key in cache:
-            frames.pop()
-            continue
-        if key[0] < 0:
-            cache[key] = -1
-            frames.pop()
-            continue
-        if fr[1] is None:
-            # try chip-free vertices first: their children are the likeliest
-            # to have no effective representative, ending the scan early
-            order = sorted(range(graph.n), key=lambda v: (key[v], v))
-            fr[1] = [_reduced_after_decrement(graph, key, v) for v in order]
-        descended = False
-        while fr[2] < len(fr[1]):
-            child = fr[1][fr[2]]
-            child_rank = cache.get(child)
-            if child_rank is None:
-                frames.append([child, None, 0, sentinel])
-                descended = True
-                break
-            fr[2] += 1
-            if child_rank < fr[3]:
-                fr[3] = child_rank
-            if child_rank == -1:
-                break
-        if descended:
-            continue
-        cache[key] = fr[3] + 1
-        frames.pop()
-    return cache[red]
+        v = fr[1][fr[2]]
+        fr[2] += 1
+        chips = list(fr[0])
+        chips[v] -= 1
+        # losing a chip keeps the divisor reduced unless v goes into debt
+        if v and chips[v] < 0:
+            _reduce_chips(graph, chips, 0)
+        key = tuple(chips)

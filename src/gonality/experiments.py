@@ -149,9 +149,7 @@ class SummaryRow:
     mean_gon_ratio: Optional[float]
     std_gon_ratio: Optional[float]
     mean_tw_lb_ratio: float
-    std_tw_lb_ratio: Optional[float]
     mean_ub_ratio: float
-    std_ub_ratio: Optional[float]
     frieze_ub_ratio: Optional[float]
 
 
@@ -328,31 +326,37 @@ def read_records_csv(path: str) -> list[TrialRecord]:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise GonalityError(f"unexpected CSV header in {path}")
+    columns = CSV_HEADER.count(",") + 1
     records = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         f = line.split(",")
-        records.append(
-            TrialRecord(
-                n=int(f[0]),
-                c=float(f[1]),
-                p=float(f[2]),
-                trial=int(f[3]),
-                seed=int(f[4]),
-                connected=f[5] == "1",
-                genus=int(f[6]),
-                alpha=int(f[7]),
-                alpha_exact=f[8] == "1",
-                tw_lb=int(f[9]),
-                tw_exact=int(f[10]) if f[10] else None,
-                gon_lb=int(f[11]),
-                gon_ub=int(f[12]),
-                gon_exact=int(f[13]) if f[13] else None,
-                mode=f[14],
-                ms_alpha=float(f[15]) if f[15] else None,
-                ms_tw=float(f[16]) if f[16] else None,
-                ms_gon=float(f[17]) if f[17] else None,
+        if len(f) != columns:
+            raise GonalityError(f"{path}, line {lineno}: {len(f)} fields, expected {columns}")
+        try:
+            records.append(
+                TrialRecord(
+                    n=int(f[0]),
+                    c=float(f[1]),
+                    p=float(f[2]),
+                    trial=int(f[3]),
+                    seed=int(f[4]),
+                    connected=f[5] == "1",
+                    genus=int(f[6]),
+                    alpha=int(f[7]),
+                    alpha_exact=f[8] == "1",
+                    tw_lb=int(f[9]),
+                    tw_exact=int(f[10]) if f[10] else None,
+                    gon_lb=int(f[11]),
+                    gon_ub=int(f[12]),
+                    gon_exact=int(f[13]) if f[13] else None,
+                    mode=f[14],
+                    ms_alpha=float(f[15]) if f[15] else None,
+                    ms_tw=float(f[16]) if f[16] else None,
+                    ms_gon=float(f[17]) if f[17] else None,
+                )
             )
-        )
+        except ValueError as exc:
+            raise GonalityError(f"{path}, line {lineno}: {exc}") from exc
     return records
 
 
@@ -388,11 +392,9 @@ def summarize(records: list[TrialRecord]) -> ExperimentSummary:
                 c=c,
                 trials=len(group),
                 mean_gon_ratio=_mean(gon) if gon else None,
-                std_gon_ratio=_sample_std(gon) if gon else None,
+                std_gon_ratio=_sample_std(gon),
                 mean_tw_lb_ratio=_mean(twlb),
-                std_tw_lb_ratio=_sample_std(twlb),
                 mean_ub_ratio=_mean(ub),
-                std_ub_ratio=_sample_std(ub),
                 frieze_ub_ratio=frieze_ratio,
             )
         )

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import random
 import sys
 import weakref
@@ -13,6 +14,7 @@ from gonality import (
     DisconnectedGraphError,
     Divisor,
     FiringScript,
+    GonalityError,
     Graph,
     apply_firing,
     build_graph,
@@ -346,6 +348,87 @@ class TestRank:
             d = random_divisor(rnd, g.n, bound=2)
             k = canonical_divisor(g)
             assert rank(g, d) - rank(g, k - d) == d.degree - genus(g) + 1
+
+
+    def test_matches_brute_force_up_to_three_chips(self):
+        # bound 10 lets the script search move up to three chips across a
+        # 4-vertex tree; smaller bounds under-report rank there
+        rnd = random.Random(31)
+        for _ in range(40):
+            g = random_connected_graph(rnd, rnd.randint(2, 4), 0.7)
+            d = random_divisor(rnd, g.n, bound=3)
+            assert rank(g, d) == brute_rank(g, d.chips, 10)
+
+    def test_riemann_roch_one_above_genus(self):
+        # deg D = g + 1 on connected genus-5 G(7, 0.5) graphs, with two chips
+        # moved so that D can be in debt
+        rnd = random.Random(32)
+        tested = 0
+        while tested < 25:
+            g = random_connected_graph(rnd, 7, 0.5)
+            if genus(g) != 5:
+                continue
+            tested += 1
+            chips = [0] * g.n
+            for _ in range(6):
+                chips[rnd.randrange(g.n)] += 1
+            for _ in range(2):
+                chips[rnd.randrange(g.n)] -= 1
+                chips[rnd.randrange(g.n)] += 1
+            d = Divisor(tuple(chips))
+            assert rank(g, d) - rank(g, canonical_divisor(g) - d) == 2
+
+    def test_riemann_roch_on_many_small_divisors(self):
+        # a node of rank 0 can meet a child of rank 0 before one of rank -1;
+        # ending its scan at the first 0 fails here a few times in 600
+        rnd = random.Random(33)
+        for _ in range(600):
+            g = random_connected_graph(rnd, rnd.randint(5, 6), 0.6)
+            d = Divisor(tuple(rnd.randint(-1, 2) for _ in range(g.n)))
+            k = canonical_divisor(g)
+            assert rank(g, d) - rank(g, k - d) == d.degree - genus(g) + 1
+
+    def test_deep_divisor_needs_no_recursion(self):
+        # the recursion on K2 runs 5000 nodes deep; give it 60 frames
+        limit = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(len(inspect.stack()) + 60)
+            r = rank(path_graph(2), divisor(5000, 0))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert r == 5000
+
+
+class TestSizeChecks:
+    @pytest.mark.parametrize("chips", [(1, 0, 0, 5), (1, 0)], ids=["long", "short"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            q_reduce,
+            q_reduce_with_script,
+            lambda g, d: linearly_equivalent(g, d, divisor(0, 0, 0)),
+            lambda g, d: linearly_equivalent(g, divisor(0, 0, 0), d),
+            effective_representative,
+            has_positive_rank,
+            rank,
+            lambda g, d: apply_firing(g, d, FiringScript.zero(3)),
+            lambda g, d: apply_firing(g, divisor(0, 0, 0), FiringScript(d.chips)),
+        ],
+        ids=[
+            "q_reduce",
+            "q_reduce_with_script",
+            "linearly_equivalent-first",
+            "linearly_equivalent-second",
+            "effective_representative",
+            "has_positive_rank",
+            "rank",
+            "apply_firing-divisor",
+            "apply_firing-script",
+        ],
+    )
+    def test_wrong_length_raises(self, call, chips):
+        with pytest.raises(GonalityError, match="graph has 3 vertices"):
+            call(path_graph(3), Divisor(chips))
 
 
 class TestGraphOwnedMemo:

@@ -233,3 +233,11 @@ def test_write_read_empty(tmp_path):
     path = str(tmp_path / "none.csv")
     write_records_csv([], path)
     assert read_records_csv(path) == []
+
+
+@pytest.mark.parametrize("row", ["1,2", ",".join(["x"] * 18)], ids=["short", "non-numeric"])
+def test_malformed_row_names_path_and_line(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(CSV_HEADER + "\n" + row + "\n")
+    with pytest.raises(GonalityError, match=rf"{path}, line 2: "):
+        read_records_csv(str(path))
