@@ -23,7 +23,7 @@ from .bounds import (
 )
 from .divisors import parse_divisor, q_reduce, rank, serialize_divisor
 from .errors import BudgetExceededError, GonalityError, SizeLimitError
-from .experiments import ExperimentConfig, convergence_report, run_experiment
+from .experiments import MODES, ExperimentConfig, convergence_report, run_experiment
 from .graphs import GnpParams, min_degree, parse_graph, sample_gnp, serialize_graph
 from .search import gonality, parse_certificate, serialize_certificate, verify_certificate
 
@@ -208,7 +208,7 @@ def build_parser() -> _Parser:
                    help="mean-degree family: sqrt, log, p:<x> (fixed edge probability), or a constant")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--mode", choices=("exact", "sandwich"), default="exact")
+    p.add_argument("--mode", choices=MODES, default="exact")
     p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--budget", type=int, default=None, help="per-phase search budgets")
     p.add_argument("--threads", type=int, default=1, help="worker processes")

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import DisconnectedGraphError, GonalityError
 from .graphs import Graph
 
@@ -108,10 +110,14 @@ def q_reduce_with_script(graph: Graph, div: Divisor, q: int = 0) -> tuple[Diviso
 def linearly_equivalent(graph: Graph, a: Divisor, b: Divisor) -> bool:
     """Whether some firing script transforms ``a`` into ``b``.
 
-    Decided by comparing q-reduced forms at base vertex 0.  Reduction keeps
-    the degree, so divisors of unequal degree never compare equal.
+    Decided by one reduction: ``a ~ b`` exactly when ``a - b`` reduces to the
+    zero divisor at base vertex 0, as the zero divisor is 0-reduced and each
+    class has one reduced form.  Reduction keeps the degree, so divisors of
+    unequal degree never pass.
     """
-    return _reduced(graph, a) == _reduced(graph, b)
+    _check_size(graph, a.chips, "divisor")
+    _check_size(graph, b.chips, "divisor")
+    return not any(_reduce_chips(graph, list((a - b).chips), 0))
 
 
 def effective_representative(graph: Graph, div: Divisor) -> Optional[Divisor]:
@@ -140,15 +146,27 @@ def rank(graph: Graph, div: Divisor) -> int:
     such that ``div - E`` keeps an effective equivalent for every effective E
     of degree k.  Computed through the recursion ``r(D) = 1 + min_v r(D - v)``
     on 0-reduced forms, with ``r = -1`` where the base vertex is in debt.
-    One loop walks it on an explicit stack, so deep divisors need no Python
-    recursion.  It reduces a child ``D - v`` only when its scan reaches v,
-    trying chip-free vertices first, and it stops a node's scan at the first
-    child of rank -1.  Every rank found is memoized on its reduced form, so
+    ``deg D < 0`` gives -1 and, by Riemann-Roch (Baker-Norine),
+    ``deg D > 2g - 2`` gives ``deg D - g``, both without a reduction;
+    Riemann-Roch also bounds every rank below by ``max(-1, deg D - g)``.
+    One loop walks the recursion on an explicit stack, so deep divisors
+    need no Python recursion.  It reduces a child ``D - v`` only when its
+    scan reaches v, trying chip-free vertices first, and it stops a node's
+    scan at the first child whose rank meets that floor,
+    ``max(-1, deg D - 1 - g)``, as no later child can go lower.
+    Every rank found by the recursion is memoized on its reduced form, so
     repeated queries against the same graph stay cheap.  The memo belongs
     to the ``graph`` object and is freed with it: an equal but distinct
     :class:`Graph` starts with an empty memo.
     """
-    return _rank_of_reduced(graph, tuple(_reduced(graph, div)))
+    _check_size(graph, div.chips, "divisor")
+    _require_connected(graph)
+    degree, genus = div.degree, graph.m - graph.n + 1
+    if degree < 0:
+        return -1
+    if degree > 2 * genus - 2:
+        return degree - genus
+    return _rank_of_reduced(graph, tuple(_reduce_chips(graph, list(div.chips), 0)))
 
 
 def serialize_divisor(div: Divisor) -> str:
@@ -265,9 +283,12 @@ def _reduce_chips(graph: Graph, chips: list[int], q: int, script: Optional[list[
     """Reduce ``chips`` to q-reduced form in place and return it.
 
     Phase 1 clears debt away from q by firing balls around q, pushing chips
-    outward layer by layer from the farthest layer inward.  Phase 2 runs
-    Dhar's burning repeatedly, firing the unburnt set as many times as its
-    chips allow, until the whole graph burns.  Raises
+    outward layer by layer from the farthest layer inward.  If it ran, and
+    left some vertex far above its valence, :func:`_jump` fires most of the
+    way to the reduced form in one linear solve.  Phase 2 runs Dhar's
+    burning repeatedly, firing the unburnt set as many times as its chips
+    allow, until the whole graph burns.  The jump changes neither the
+    result nor the script, only how many Dhar rounds it takes.  Raises
     :class:`DisconnectedGraphError` unless the graph is connected.
     """
     _require_connected(graph)
@@ -300,6 +321,7 @@ def _reduce_chips(graph: Graph, chips: list[int], q: int, script: Optional[list[
                 for j in range(i):
                     for w in layers[j]:
                         script[w] += t
+        _jump(graph, chips, q, script)
 
     # phase 2: Dhar iterations; fire the unburnt set maximally each round.
     while True:
@@ -316,6 +338,55 @@ def _reduce_chips(graph: Graph, chips: list[int], q: int, script: Optional[list[
         if script is not None:
             for v in unburnt_set:
                 script[v] += t
+
+
+_JUMP_FACTOR = 8  # jump once some v != q holds this many times val(v) chips
+_JUMP_MAX_CHIPS = 2**53  # float64 holds every integer below this exactly
+_JUMP_MAX_N = 1024  # the dense solve takes 8 n^2 bytes and O(n^3) time
+
+
+def _jump(graph: Graph, chips: list[int], q: int, script: Optional[list[int]]) -> None:
+    """Fire ``chips`` (nonnegative away from q) close to q-reduced, in place.
+
+    Solves ``L_q x = chips - val`` off q, with ``x(q) = 0`` and ``L_q`` the
+    reduced Laplacian, and fires ``s = floor(x)``: in exact arithmetic every
+    v != q then holds between 1 and ``2 val(v) - 1`` chips.  ``s`` is applied
+    only if exact integer arithmetic shows it leaves no v != q in debt, so
+    float error costs Dhar rounds, never correctness.  Phase 2 never fires
+    q, and only one script with q-entry 0 leads to the reduced divisor, so
+    the chips and script that :func:`_reduce_chips` returns are the same
+    with or without the jump.  Skipped unless some v != q holds at least
+    ``_JUMP_FACTOR * val(v)`` chips, or when a chip count is too large for
+    float64 or the graph too large for a dense solve.  Each jump solves
+    afresh: a reduction jumps at most once, and an inverse kept for reuse
+    costs three solves to build and pages in twice the LAPACK code.
+    """
+    n = graph.n
+    # val(v) >= 1, so one max rules out most calls before the exact trigger
+    if max(chips) < _JUMP_FACTOR or n > _JUMP_MAX_N:
+        return
+    deg = graph.degrees
+    if all(chips[v] < _JUMP_FACTOR * deg[v] for v in range(n) if v != q):
+        return
+    rhs = [c - d for c, d in zip(chips, deg)]
+    rhs[q] = 0
+    if max(rhs) >= _JUMP_MAX_CHIPS:
+        return
+    # L_q, with row and column q replaced by the unit vector e_q so that the
+    # solve keeps x(q) = rhs(q) = 0
+    lap = np.diag(np.asarray(deg, dtype=np.float64)) - graph.adjacency_matrix
+    lap[q, :] = lap[:, q] = 0
+    lap[q, q] = 1
+    x = np.linalg.solve(lap, np.asarray(rhs, dtype=np.float64))
+    s = [int(f) for f in np.floor(x).tolist()]
+    adj = graph.adjacency
+    fired = [c - f * d + sum(s[u] for u in adj[v]) for v, (c, f, d) in enumerate(zip(chips, s, deg))]
+    if any(c < 0 for v, c in enumerate(fired) if v != q):
+        return
+    chips[:] = fired
+    if script is not None:
+        for v in range(n):
+            script[v] += s[v]
 
 
 def _positive_rank_scripts(graph: Graph, chips: Sequence[int]) -> Optional[list[list[int]]]:
@@ -343,8 +414,10 @@ def _rank_of_reduced(graph: Graph, key: tuple[int, ...]) -> int:
     """Rank of the 0-reduced divisor ``key``; the loop :func:`rank` describes.
 
     A frame is ``[key, vertex order, next index, min child rank]``.  Every
-    rank found goes into the ``graph`` object's own memo.
+    rank the recursion finds goes into the ``graph`` object's own memo.
     """
+    genus = graph.m - graph.n + 1
+    top = sum(key)
     cache = graph._rank_memo
     frames: list[list] = []
     while True:
@@ -361,7 +434,9 @@ def _rank_of_reduced(graph: Graph, key: tuple[int, ...]) -> int:
             while frames:
                 fr = frames[-1]
                 fr[3] = min(fr[3], r)
-                if fr[3] > -1 and fr[2] < graph.n:
+                # frame i holds degree top - i, so by Riemann-Roch each of its
+                # children has rank at least top - i - 1 - genus
+                if fr[3] > max(-1, top - len(frames) - genus) and fr[2] < graph.n:
                     break
                 r = cache[fr[0]] = fr[3] + 1
                 frames.pop()

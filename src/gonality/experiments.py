@@ -30,6 +30,8 @@ CSV_HEADER = (
 _MASK64 = (1 << 64) - 1
 
 EXACT_GONALITY_LIMIT = 12  # largest n whose gonality exact mode computes
+MODES = ("exact", "sandwich")
+_FLAGS = ("0", "1")  # CSV cells of the boolean columns
 
 
 def _splitmix64(z: int) -> int:
@@ -98,7 +100,7 @@ class ExperimentConfig:
             raise GonalityError("n_list must not be empty")
         if self.trials < 0:
             raise GonalityError(f"trials must be nonnegative, got {self.trials}")
-        if self.mode not in ("exact", "sandwich"):
+        if self.mode not in MODES:
             raise GonalityError(f"mode must be 'exact' or 'sandwich', got {self.mode!r}")
         for n in self.n_list:
             c = c_of(self.c_spec, n)
@@ -332,6 +334,9 @@ def read_records_csv(path: str) -> list[TrialRecord]:
         f = line.split(",")
         if len(f) != columns:
             raise GonalityError(f"{path}, line {lineno}: {len(f)} fields, expected {columns}")
+        for cell, allowed in ((f[5], _FLAGS), (f[8], _FLAGS), (f[14], MODES)):
+            if cell not in allowed:
+                raise GonalityError(f"{path}, line {lineno}: {cell!r} is not one of {', '.join(allowed)}")
         try:
             records.append(
                 TrialRecord(

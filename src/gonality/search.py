@@ -423,7 +423,11 @@ def _scan_degree(graph: Graph, d: int,
 
 
 def _build_certificate(graph: Graph, chips: tuple[int, ...], scripts: list[list[int]]) -> PositiveRankCertificate:
-    cert = PositiveRankCertificate(Divisor(chips), tuple(FiringScript(tuple(s)) for s in scripts))
+    # vertices holding a chip fire nothing; like the independence
+    # certificate, they share one zero script
+    zero = FiringScript.zero(graph.n)
+    witnesses = tuple(FiringScript(tuple(s)) if any(s) else zero for s in scripts)
+    cert = PositiveRankCertificate(Divisor(chips), witnesses)
     if not verify_certificate(graph, cert):
         raise CertificateError("gonality certificate failed re-verification")
     return cert

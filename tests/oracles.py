@@ -2,13 +2,16 @@
 
 Everything here deliberately avoids the library's reduction machinery:
 equivalence and rank are decided by enumerating firing scripts or by exact
-rational linear algebra on the Laplacian, independence numbers by subset
-enumeration, and small-graph corpora come from networkx.  Keeping these
-paths separate is what makes agreement tests meaningful.
+rational linear algebra on the Laplacian (rank and positive rank by the
+latter alone, so no script bound can make them under-report), independence
+numbers by subset enumeration, and small-graph corpora come from networkx.
+Keeping these paths separate is what makes agreement tests meaningful.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
+from math import lcm
 import random
 
 import networkx as nx
@@ -48,75 +51,92 @@ def equivalent_images(graph: Graph, chips, bound: int):
 
 def exact_equivalent(graph: Graph, a, b) -> bool:
     """Linear-algebra equivalence test: a - b must be an integer Laplacian
-    image.  Solves the reduced system exactly over the rationals."""
+    image.  With the script pinned to 0 at vertex 0, the script is the
+    exact rational solution of the reduced system, so a ~ b exactly when
+    that solution is integral."""
     if sum(a) != sum(b):
         return False
+    scaled, den = _pinned_laplacian_inverse(graph)
+    d = [x - y for x, y in zip(a, b)][1:]
+    return all(sum(m * x for m, x in zip(row, d)) % den == 0 for row in scaled)
+
+
+@lru_cache(maxsize=256)
+def _pinned_laplacian_inverse(graph: Graph):
+    """``(A, den)``, integers with ``A / den`` the inverse of the Laplacian
+    without vertex 0's row and column, by Gauss-Jordan over the rationals."""
     n = graph.n
-    if n == 1:
-        return True
     lap = [[0] * n for _ in range(n)]
     for u, v in graph.edges:
         lap[u][u] += 1
         lap[v][v] += 1
         lap[u][v] -= 1
         lap[v][u] -= 1
-    d = [a[i] - b[i] for i in range(n)]
-    # drop vertex 0 (script pinned to 0 there); solve rows/cols 1..n-1
-    mat = [[Fraction(lap[i][j]) for j in range(1, n)] for i in range(1, n)]
-    rhs = [Fraction(d[i]) for i in range(1, n)]
     m = n - 1
+    mat = [[Fraction(lap[i][j]) for j in range(1, n)] for i in range(1, n)]
+    inv = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
     for col in range(m):
-        pivot = next((r for r in range(col, m) if mat[r][col] != 0), None)
-        if pivot is None:
-            return False  # cannot happen for connected graphs
+        pivot = next(r for r in range(col, m) if mat[r][col] != 0)  # connected graphs only
         mat[col], mat[pivot] = mat[pivot], mat[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = mat[col][col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        scale = mat[col][col]
+        mat[col] = [x / scale for x in mat[col]]
+        inv[col] = [x / scale for x in inv[col]]
         for r in range(m):
             if r != col and mat[r][col] != 0:
-                factor = mat[r][col] / inv
-                for cc in range(col, m):
-                    mat[r][cc] -= factor * mat[col][cc]
-                rhs[r] -= factor * rhs[col]
-    solution = [rhs[i] / mat[i][i] for i in range(m)]
-    return all(x.denominator == 1 for x in solution)
+                factor = mat[r][col]
+                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
+                inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
+    den = lcm(1, *(x.denominator for row in inv for x in row))
+    return tuple(tuple(int(x * den) for x in row) for row in inv), den
 
 
-def brute_rank(graph: Graph, chips, bound: int) -> int:
+def effective_divisors(n: int, degree: int):
+    """Every effective divisor of the given degree on n vertices."""
+    for locations in combinations_with_replacement(range(n), degree):
+        chips = [0] * n
+        for v in locations:
+            chips[v] += 1
+        yield tuple(chips)
+
+
+def eff_equiv_exact(graph: Graph, chips) -> bool:
+    """Whether ``chips`` is equivalent to an effective divisor, with no
+    script bound: compare it with every effective divisor of its degree."""
+    degree = sum(chips)
+    return degree >= 0 and any(
+        exact_equivalent(graph, chips, e) for e in effective_divisors(graph.n, degree)
+    )
+
+
+def brute_rank(graph: Graph, chips) -> int:
     """Rank by its definition: enumerate effective divisors E of each degree
-    and decide each ``chips - E`` by bounded script search."""
-    if not eff_equiv_by_scripts(graph, chips, bound):
+    and decide each ``chips - E`` by :func:`eff_equiv_exact`."""
+    if not eff_equiv_exact(graph, chips):
         return -1
     k = 0
     while True:
-        for locations in combinations_with_replacement(range(graph.n), k + 1):
-            probe = list(chips)
-            for v in locations:
-                probe[v] -= 1
-            if not eff_equiv_by_scripts(graph, tuple(probe), bound):
+        for e in effective_divisors(graph.n, k + 1):
+            if not eff_equiv_exact(graph, tuple(c - x for c, x in zip(chips, e))):
                 return k
         k += 1
 
 
-def brute_positive_rank(graph: Graph, chips, bound: int) -> bool:
+def brute_positive_rank(graph: Graph, chips) -> bool:
     for v in range(graph.n):
         probe = list(chips)
         probe[v] -= 1
-        if not eff_equiv_by_scripts(graph, tuple(probe), bound):
+        if not eff_equiv_exact(graph, tuple(probe)):
             return False
     return True
 
 
-def brute_gonality(graph: Graph, bound: int) -> int:
+def brute_gonality(graph: Graph) -> int:
     """Smallest degree of a positive-rank divisor over all effective divisors."""
     d = 1
     while True:
-        for locations in combinations_with_replacement(range(graph.n), d):
-            chips = [0] * graph.n
-            for v in locations:
-                chips[v] += 1
-            if brute_positive_rank(graph, tuple(chips), bound):
-                return d
+        if any(brute_positive_rank(graph, chips) for chips in effective_divisors(graph.n, d)):
+            return d
         d += 1
 
 

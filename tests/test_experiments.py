@@ -241,3 +241,21 @@ def test_malformed_row_names_path_and_line(tmp_path, row):
     path.write_text(CSV_HEADER + "\n" + row + "\n")
     with pytest.raises(GonalityError, match=rf"{path}, line 2: "):
         read_records_csv(str(path))
+
+
+GOOD_ROW = "6,2.5,0.5,0,7,1,2,3,1,2,2,2,3,3,exact,,,"
+
+
+@pytest.mark.parametrize(
+    "column,cell", [(5, "yes"), (8, "maybe"), (14, "banana"), (5, ""), (14, "Exact")]
+)
+def test_flag_and_mode_cells_are_checked(tmp_path, column, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(CSV_HEADER + "\n" + GOOD_ROW + "\n")
+    (record,) = read_records_csv(str(path))
+    assert record.connected and record.alpha_exact and record.mode == "exact"
+    fields = GOOD_ROW.split(",")
+    fields[column] = cell
+    path.write_text(CSV_HEADER + "\n" + GOOD_ROW + "\n" + ",".join(fields) + "\n")
+    with pytest.raises(GonalityError, match=rf"{path}, line 3: '{cell}' is not one of"):
+        read_records_csv(str(path))
