@@ -48,8 +48,8 @@ after = apply_firing(petersen, before, cert.witnesses[v])
 print(f"divisor - v{v}: {before.chips}")
 print(f"after witness: {after.chips}  (effective: {after.is_effective()})")
 
-# the complement of a maximal independent set is always a positive-rank
-# divisor; its certificate needs no search at all
+# the complement of an independent set with no isolated vertex is always a
+# positive-rank divisor; its certificate needs no search at all
 mis = maximum_independent_set(petersen)
 cert = certify_independence_bound(petersen, mis.independent.vertices)
 print(f"\nindependence certificate: degree {cert.divisor.degree} "

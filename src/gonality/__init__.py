@@ -45,7 +45,6 @@ from .errors import (
     GonalityError,
     MalformedHeaderError,
     NotIndependentError,
-    NotMaximalError,
     SelfLoopError,
     SizeLimitError,
     VertexRangeError,

@@ -106,6 +106,11 @@ def validate_tree_decomposition(graph: Graph, td: TreeDecomposition) -> Validati
     return ValidationReport(True, None, width)
 
 
+# The DP keeps two lists of 2^n entries: at n = 24 about 0.25 GiB and a
+# minute of CPU, and each further vertex doubles the memory
+_TW_MAX_N = 24
+
+
 def treewidth_exact(graph: Graph, size_limit: int = 16) -> tuple[int, TreeDecomposition]:
     """Exact treewidth with a witness decomposition.
 
@@ -114,11 +119,13 @@ def treewidth_exact(graph: Graph, size_limit: int = 16) -> tuple[int, TreeDecomp
     ``f(S) = min_v max(f(S - v), backdegree(S - v, v))`` where the
     back-degree counts neighbors of v's component within the prefix.  The
     optimal order is then turned into bags by simulated elimination with
-    fill-in.  Refuses graphs above ``size_limit`` (memory grows as 2^n).
+    fill-in.  Refuses graphs above ``size_limit``, or above the fixed
+    ceiling ``_TW_MAX_N`` whatever the limit, before allocating anything.
     """
     n = graph.n
-    if n > size_limit:
-        raise SizeLimitError(f"treewidth_exact limited to n <= {size_limit}, got {n}")
+    limit = min(size_limit, _TW_MAX_N)
+    if n > limit:
+        raise SizeLimitError(f"treewidth_exact limited to n <= {limit}, got {n}")
     if n == 0:
         return -1, TreeDecomposition((frozenset(),), ())
     adj = graph.adjacency_bits

@@ -22,7 +22,7 @@ from .bounds import (
     treewidth_lower_bound,
 )
 from .divisors import parse_divisor, q_reduce, rank, serialize_divisor
-from .errors import BudgetExceededError, GonalityError, SizeLimitError
+from .errors import BudgetExceededError, GonalityError
 from .experiments import MODES, ExperimentConfig, convergence_report, run_experiment
 from .graphs import GnpParams, min_degree, parse_graph, sample_gnp, serialize_graph
 from .search import gonality, parse_certificate, serialize_certificate, verify_certificate
@@ -87,10 +87,10 @@ def _cmd_bounds(args) -> int:
     print(f"min_degree {min_degree(graph)}")
     print(f"tw_lb {treewidth_lower_bound(graph)}")
     td = None
-    try:
+    if graph.n <= args.tw_limit:
         tw, td = treewidth_exact(graph, args.tw_limit)
         print(f"tw_exact {tw}")
-    except SizeLimitError:
+    else:
         print(f"tw_exact skipped: n > {args.tw_limit}")
     mis = maximum_independent_set(graph, args.budget)
     status = "exact" if mis.exact else "lower_bound_only"

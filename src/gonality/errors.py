@@ -39,10 +39,6 @@ class NotIndependentError(GonalityError):
     """A vertex set that must be independent contains an edge."""
 
 
-class NotMaximalError(GonalityError):
-    """An independent set that must be maximal can still be extended."""
-
-
 class SizeLimitError(GonalityError):
     """Instance exceeds the size limit of an exact algorithm."""
 

@@ -22,16 +22,10 @@ from .errors import BudgetExceededError, GonalityError, SizeLimitError
 from .graphs import GnpParams, genus, sample_gnp
 from .search import gonality
 
-CSV_HEADER = (
-    "n,c,p,trial,seed,connected,genus,alpha,alpha_exact,tw_lb,tw_exact,"
-    "gon_lb,gon_ub,gon_exact,mode,ms_alpha,ms_tw,ms_gon"
-)
-
 _MASK64 = (1 << 64) - 1
 
 EXACT_GONALITY_LIMIT = 12  # largest n whose gonality exact mode computes
 MODES = ("exact", "sandwich")
-_FLAGS = ("0", "1")  # CSV cells of the boolean columns
 
 
 def _splitmix64(z: int) -> int:
@@ -143,6 +137,47 @@ class TrialRecord:
     ms_gon: Optional[float] = None
 
 
+def _one_of(cell: str, allowed: tuple[str, ...]) -> str:
+    if cell not in allowed:
+        raise ValueError(f"{cell!r} is not one of {', '.join(allowed)}")
+    return cell
+
+
+def _optional(write, read):
+    """Writer and reader of an optional column: ``None`` is the empty cell."""
+    return (lambda x: "" if x is None else write(x)), (lambda s: read(s) if s else None)
+
+
+_INT = (str, int)
+_REAL = (repr, float)
+_FLAG = (lambda b: "1" if b else "0", lambda s: _one_of(s, ("0", "1")) == "1")
+_MS = _optional("{:.3f}".format, float)
+
+# The experiment CSV: one (field, write_cell, read_cell) entry per column, in
+# column order.  The header, the row writer and the reader all derive from it.
+_COLUMNS = (
+    ("n", *_INT),
+    ("c", *_REAL),
+    ("p", *_REAL),
+    ("trial", *_INT),
+    ("seed", *_INT),
+    ("connected", *_FLAG),
+    ("genus", *_INT),
+    ("alpha", *_INT),
+    ("alpha_exact", *_FLAG),
+    ("tw_lb", *_INT),
+    ("tw_exact", *_optional(*_INT)),
+    ("gon_lb", *_INT),
+    ("gon_ub", *_INT),
+    ("gon_exact", *_optional(*_INT)),
+    ("mode", str, lambda s: _one_of(s, MODES)),
+    ("ms_alpha", *_MS),
+    ("ms_tw", *_MS),
+    ("ms_gon", *_MS),
+)
+CSV_HEADER = ",".join(field for field, _, _ in _COLUMNS)
+
+
 @dataclass(frozen=True)
 class SummaryRow:
     n: int
@@ -198,17 +233,15 @@ def run_trial(
     t0 = time.perf_counter()
     if mode == "exact" and n <= EXACT_GONALITY_LIMIT:
         try:
-            if connected:
-                result = gonality(
-                    graph,
-                    budget,
-                    with_certificate=False,
-                    lower_bound=tw_ex if tw_ex is not None else 1,
-                    independent_set=mis.independent.vertices,
-                )
-            else:
-                result = gonality(graph, budget, with_certificate=False)
-            gon_exact = result.value
+            # a disconnected graph gets its component sum before either
+            # bound is read
+            gon_exact = gonality(
+                graph,
+                budget,
+                with_certificate=False,
+                lower_bound=gon_lb,
+                independent_set=mis.independent.vertices,
+            ).value
         except BudgetExceededError:
             gon_exact = None  # row kept; empty cell flags the exhaustion
     ms_gon = (time.perf_counter() - t0) * 1000.0
@@ -281,39 +314,8 @@ def run_experiment(
     return summarize(records), records
 
 
-def _fmt_opt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def record_to_csv_row(r: TrialRecord) -> str:
-    return ",".join(
-        (
-            str(r.n),
-            repr(r.c),
-            repr(r.p),
-            str(r.trial),
-            str(r.seed),
-            "1" if r.connected else "0",
-            str(r.genus),
-            str(r.alpha),
-            "1" if r.alpha_exact else "0",
-            str(r.tw_lb),
-            _fmt_opt(r.tw_exact),
-            str(r.gon_lb),
-            str(r.gon_ub),
-            _fmt_opt(r.gon_exact),
-            r.mode,
-            "" if r.ms_alpha is None else f"{r.ms_alpha:.3f}",
-            "" if r.ms_tw is None else f"{r.ms_tw:.3f}",
-            "" if r.ms_gon is None else f"{r.ms_gon:.3f}",
-        )
-    )
+    return ",".join(write(getattr(r, field)) for field, write, _ in _COLUMNS)
 
 
 def write_records_csv(records: list[TrialRecord], path: str) -> None:
@@ -328,40 +330,16 @@ def read_records_csv(path: str) -> list[TrialRecord]:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise GonalityError(f"unexpected CSV header in {path}")
-    columns = CSV_HEADER.count(",") + 1
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
-        f = line.split(",")
-        if len(f) != columns:
-            raise GonalityError(f"{path}, line {lineno}: {len(f)} fields, expected {columns}")
-        for cell, allowed in ((f[5], _FLAGS), (f[8], _FLAGS), (f[14], MODES)):
-            if cell not in allowed:
-                raise GonalityError(f"{path}, line {lineno}: {cell!r} is not one of {', '.join(allowed)}")
+        cells = line.split(",")
+        if len(cells) != len(_COLUMNS):
+            raise GonalityError(f"{path}, line {lineno}: {len(cells)} fields, expected {len(_COLUMNS)}")
         try:
-            records.append(
-                TrialRecord(
-                    n=int(f[0]),
-                    c=float(f[1]),
-                    p=float(f[2]),
-                    trial=int(f[3]),
-                    seed=int(f[4]),
-                    connected=f[5] == "1",
-                    genus=int(f[6]),
-                    alpha=int(f[7]),
-                    alpha_exact=f[8] == "1",
-                    tw_lb=int(f[9]),
-                    tw_exact=int(f[10]) if f[10] else None,
-                    gon_lb=int(f[11]),
-                    gon_ub=int(f[12]),
-                    gon_exact=int(f[13]) if f[13] else None,
-                    mode=f[14],
-                    ms_alpha=float(f[15]) if f[15] else None,
-                    ms_tw=float(f[16]) if f[16] else None,
-                    ms_gon=float(f[17]) if f[17] else None,
-                )
-            )
+            values = {field: read(cell) for (field, _, read), cell in zip(_COLUMNS, cells)}
         except ValueError as exc:
             raise GonalityError(f"{path}, line {lineno}: {exc}") from exc
+        records.append(TrialRecord(**values))
     return records
 
 
@@ -420,6 +398,7 @@ def convergence_report(summary: ExperimentSummary) -> str:
         "n,c,trials,gon_over_n_mean,gon_over_n_std,tw_lb_over_n_mean,"
         "ub_over_n_mean,frieze_ub_ratio,consistent"
     ]
+    opt = _optional(*_REAL)[0]
     for row in summary.rows:
         lo = row.mean_tw_lb_ratio
         hi = row.mean_ub_ratio
@@ -431,11 +410,11 @@ def convergence_report(summary: ExperimentSummary) -> str:
                     str(row.n),
                     repr(row.c),
                     str(row.trials),
-                    _fmt_opt(row.mean_gon_ratio),
-                    _fmt_opt(row.std_gon_ratio),
+                    opt(row.mean_gon_ratio),
+                    opt(row.std_gon_ratio),
                     repr(lo),
                     repr(hi),
-                    _fmt_opt(row.frieze_ub_ratio),
+                    opt(row.frieze_ub_ratio),
                     "1" if consistent else "0",
                 )
             )

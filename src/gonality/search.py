@@ -37,18 +37,16 @@ from .divisors import (
     canonical_divisor,
     parse_divisor,
     parse_firing_script,
+    rank,
     serialize_divisor,
     serialize_firing_script,
     _positive_rank_scripts,
-    _rank_of_reduced,
-    _reduce_chips,
 )
 from .errors import (
     BudgetExceededError,
     CertificateError,
     GonalityError,
     NotIndependentError,
-    NotMaximalError,
 )
 from .graphs import Graph, genus, induced_subgraph
 
@@ -126,7 +124,8 @@ def complement_divisor(graph: Graph, independent: frozenset[int] | set[int]) -> 
 
 
 def certify_independence_bound(graph: Graph, independent: frozenset[int] | set[int]) -> PositiveRankCertificate:
-    """Constructive certificate that ``gon(G) <= n - |I|`` for maximal I.
+    """Constructive certificate that ``gon(G) <= n - |I|`` for an independent
+    set I with no isolated vertex.
 
     The witness divisor puts one chip on the complement of I.  For v outside
     I the divisor minus v is already effective, so the witness script is
@@ -137,7 +136,6 @@ def certify_independence_bound(graph: Graph, independent: frozenset[int] | set[i
     """
     ind = frozenset(independent)
     div = complement_divisor(graph, ind)
-    _check_maximal(graph, ind)
     for v in ind:
         if graph.degree(v) == 0:
             raise GonalityError(
@@ -200,6 +198,7 @@ def gonality(
         lower_bound = 1
     cap = None
     if independent_set is not None:
+        independent_set = frozenset(independent_set)  # a repeated vertex counts once
         _check_independent(graph, independent_set)
         cap = graph.n - len(independent_set)
 
@@ -208,8 +207,7 @@ def gonality(
     while True:
         if cap is not None and d >= cap:
             # theorem degree reached: the independence construction is the witness
-            maximal = _extend_to_maximal(graph, frozenset(independent_set))  # type: ignore[arg-type]
-            cert = certify_independence_bound(graph, maximal) if with_certificate else None
+            cert = certify_independence_bound(graph, independent_set) if with_certificate else None
             return GonalityResult(cap, cert, tuple(searched + [cap]), refutation_floor=lower_bound)
         try:
             hit = _scan_degree(graph, d, budget)
@@ -248,16 +246,13 @@ def clifford_index(graph: Graph, budget: Optional[int] = None) -> Optional[Cliff
                 raise BudgetExceededError(
                     f"clifford_index budget of {budget} candidates exhausted"
                 )
-            r = _rank_of_reduced(graph, chips)
-            if r < 1:
-                continue
-            residual = [k - c for k, c in zip(kan.chips, chips)]
-            r_res = _rank_of_reduced(graph, tuple(_reduce_chips(graph, residual, 0)))
-            if r_res < 1:
+            div = Divisor(chips)
+            r = rank(graph, div)
+            if r < 1 or rank(graph, kan - div) < 1:
                 continue
             value = d - 2 * r
             if best is None or value < best.value:
-                best = CliffordResult(value, Divisor(chips), r)
+                best = CliffordResult(value, div, r)
     return best
 
 
@@ -271,22 +266,6 @@ def _check_independent(graph: Graph, vertices) -> None:
     for u, v in graph.edges:
         if u in vs and v in vs:
             raise NotIndependentError(f"vertices {u} and {v} are adjacent")
-
-
-def _check_maximal(graph: Graph, vertices: frozenset[int]) -> None:
-    adj = graph.adjacency
-    for u in range(graph.n):
-        if u not in vertices and not (adj[u] & vertices):
-            raise NotMaximalError(f"vertex {u} could extend the independent set")
-
-
-def _extend_to_maximal(graph: Graph, independent: frozenset[int]) -> frozenset[int]:
-    adj = graph.adjacency
-    out = set(independent)
-    for u in range(graph.n):
-        if u not in out and not (adj[u] & out):
-            out.add(u)
-    return frozenset(out)
 
 
 # Rows per candidate chunk: bounds the scan's memory at any n.

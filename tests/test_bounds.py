@@ -227,6 +227,11 @@ class TestTreewidthExact:
         with pytest.raises(SizeLimitError):
             treewidth_exact(path_graph(10), size_limit=9)
 
+    def test_ceiling_holds_whatever_the_limit(self):
+        # refused before the 2^n tables are allocated
+        with pytest.raises(SizeLimitError, match="n <= 24, got 64"):
+            treewidth_exact(path_graph(64), size_limit=64)
+
     def test_single_vertex_and_empty(self):
         assert treewidth_exact(path_graph(1))[0] == 0
         g = build_graph(4, [])

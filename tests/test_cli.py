@@ -89,6 +89,12 @@ class TestBoundsCommand:
         assert main(["bounds", p5_file, "--tw-limit", "4"]) == 0
         assert "tw_exact skipped: n > 4" in capsys.readouterr().out
 
+    def test_treewidth_ceiling_is_a_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "p64.edges"
+        path.write_text(serialize_graph(path_graph(64)))
+        assert main(["bounds", str(path), "--tw-limit", "64"]) == 1
+        assert "error: treewidth_exact limited to n <= 24, got 64" in capsys.readouterr().err
+
     def test_frieze_flag(self, p5_file, capsys):
         assert main(["bounds", p5_file, "--n", "100", "--c", "10.0"]) == 0
         assert "frieze_alpha 35.508" in capsys.readouterr().out

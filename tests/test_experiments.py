@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from gonality import (
     CSV_HEADER,
     ExperimentConfig,
     GonalityError,
+    TrialRecord,
     convergence_report,
     c_of,
     mix_trial_seed,
@@ -227,6 +229,10 @@ def test_header_is_exactly_the_contract():
         "n,c,p,trial,seed,connected,genus,alpha,alpha_exact,tw_lb,tw_exact,"
         "gon_lb,gon_ub,gon_exact,mode,ms_alpha,ms_tw,ms_gon"
     )
+
+
+def test_header_follows_the_record_fields():
+    assert CSV_HEADER.split(",") == [f.name for f in dataclasses.fields(TrialRecord)]
 
 
 def test_write_read_empty(tmp_path):

@@ -12,7 +12,6 @@ from gonality import (
     Divisor,
     GonalityError,
     NotIndependentError,
-    NotMaximalError,
     apply_firing,
     build_graph,
     certify_independence_bound,
@@ -418,9 +417,22 @@ class TestIndependenceCertificate:
             fired = apply_firing(g, cert.divisor.minus_vertex(v), cert.witnesses[v])
             assert fired.is_effective()
 
-    def test_rejects_non_maximal(self):
-        with pytest.raises(NotMaximalError):
-            certify_independence_bound(cycle_graph(6), {0})
+    def test_non_maximal_set_certifies_its_own_degree(self):
+        g = cycle_graph(6)
+        cert = certify_independence_bound(g, {0})
+        assert verify_certificate(g, cert)
+        assert cert.divisor.degree == 5
+
+    def test_cap_certificate_has_the_reported_degree(self):
+        # the set is used as given, not extended to a maximal one
+        g = path_graph(3)
+        result = gonality(g, lower_bound=2, independent_set=frozenset({0}))
+        assert result.certificate.divisor.degree == result.value == 2
+        assert verify_certificate(g, result.certificate)
+
+    def test_repeated_vertex_counts_once_in_the_cap(self):
+        result = gonality(complete_graph(4), independent_set=[0, 0])
+        assert result.certificate.divisor.degree == result.value == 3
 
     def test_rejects_isolated_vertex(self):
         g = build_graph(3, [(0, 1)])
