@@ -11,6 +11,7 @@ from .bounds import (
     MISResult,
     TreeDecomposition,
     ValidationReport,
+    egg_cuts_reach,
     frieze_alpha_estimate,
     maximum_independent_set,
     parse_tree_decomposition,

@@ -1,10 +1,11 @@
 """Bounding machinery: exact treewidth, tree-decomposition validation,
-maximum independent sets, and the random-graph independence estimate.
+maximum independent sets, the edge-scramble cut test, and the random-graph
+independence estimate.
 
-Treewidth bounds gonality from below; ``n - alpha`` bounds it from above.
-Both sides come with checkable artifacts: a tree decomposition that the
-validator accepts, and an independent set whose independence is re-checked
-on construction.
+Treewidth and the edge scramble bound gonality from below; ``n - alpha``
+bounds it from above.  Treewidth and ``n - alpha`` come with checkable
+artifacts: a tree decomposition that the validator accepts, and an
+independent set whose independence is re-checked on construction.
 """
 
 from __future__ import annotations
@@ -167,6 +168,47 @@ def treewidth_exact(graph: Graph, size_limit: int = 16) -> tuple[int, TreeDecomp
 def treewidth_lower_bound(graph: Graph) -> int:
     """Certified lower bound: the degeneracy (dominates minimum degree)."""
     return degeneracy(graph)
+
+
+def egg_cuts_reach(graph: Graph, k: int) -> bool:
+    """Whether every edge cut ``δ(A)`` with an edge inside A and an edge
+    inside ``V - A`` has at least k edges (true when no such A exists).
+
+    This is the egg-cut half of the edge scramble, whose eggs are the
+    edges: its hitting number is the vertex cover number ``n - alpha``, and
+    its egg-cut number is the smallest such cut.  The scramble number
+    bounds gonality from below (Harp, Jackson, Jensen and Speeter,
+    arXiv:2006.01020), so on a connected graph where this holds for
+    ``k = n - alpha``, gonality is exactly ``n - alpha``.
+
+    Three stages, each polynomial.  An edge uv whose two ends have fewer
+    than k other edges, with an edge clear of both ends, is a cut below k.
+    A set of j vertices has a cut of at least its j smallest degrees less
+    ``j - 1`` each (never below 0), so when every size 2 to n - 2 has that
+    floor at k on itself or its complement, every cut reaches k.  Otherwise
+    the cuts are checked by unit-capacity flows: a smallest valid A may be
+    taken to hold a least-degree vertex s that has an edge, and then s has
+    a neighbour in A (else moving s out would shrink the cut), so it is
+    enough to separate each edge at s from each edge clear of it.
+    """
+    n, m = graph.n, graph.m
+    deg = graph.degrees
+    for u, v in graph.edges:
+        if deg[u] + deg[v] - 2 < k and m - deg[u] - deg[v] + 1 > 0:
+            return False
+    ds = sorted(deg)
+    floors = [sum(max(0, d - j + 1) for d in ds[:j]) for j in range(n + 1)]
+    if all(max(floors[j], floors[n - j]) >= k for j in range(2, n - 1)):
+        return True
+    adj = graph.adjacency_bits
+    s = min(range(n), key=lambda v: (not deg[v], deg[v]))
+    for w in graph.adjacency[s]:
+        source = 1 << s | 1 << w
+        for a, b in graph.edges:
+            sink = 1 << a | 1 << b
+            if not source & sink and not _disjoint_paths_reach(adj, source, sink, k):
+                return False
+    return True
 
 
 def maximum_independent_set(graph: Graph, budget: Optional[int] = None) -> MISResult:
@@ -349,6 +391,42 @@ def _back_degree(adj: tuple[int, ...], prefix: int, v: int) -> int:
             nb |= adj[low.bit_length() - 1]
             grow ^= low
     return (nb & ~prefix & ~(1 << v)).bit_count()
+
+
+def _disjoint_paths_reach(adj: tuple[int, ...], source: int, sink: int, k: int) -> bool:
+    """Whether k edge-disjoint paths join the vertex sets ``source`` and
+    ``sink`` (bitmasks), by k breadth-first augmentations at most."""
+    n = len(adj)
+    sent = [0] * n  # bit v of sent[u]: one unit of net flow along u -> v
+    for _ in range(k):
+        parent = [-1] * n
+        seen = frontier = source
+        while frontier and not seen & sink:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                u = low.bit_length() - 1
+                new = adj[u] & ~sent[u] & ~seen & ~grown
+                grown |= new
+                while new:
+                    low = new & -new
+                    new ^= low
+                    parent[low.bit_length() - 1] = u
+            seen |= grown
+            frontier = grown
+        reached = seen & sink
+        if not reached:
+            return False
+        v = (reached & -reached).bit_length() - 1
+        while parent[v] >= 0:
+            u = parent[v]
+            if sent[v] >> u & 1:
+                sent[v] ^= 1 << u
+            else:
+                sent[u] |= 1 << v
+            v = u
+    return True
 
 
 def _decomposition_from_order(graph: Graph, order: list[int]) -> TreeDecomposition:

@@ -12,6 +12,7 @@ worker count or scheduling.  Wall-clock columns are left empty unless
 from __future__ import annotations
 
 import math
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -148,10 +149,25 @@ def _optional(write, read):
     return (lambda x: "" if x is None else write(x)), (lambda s: read(s) if s else None)
 
 
-_INT = (str, int)
-_REAL = (repr, float)
+def _int_cell(cell: str) -> int:
+    """An integer cell exactly as ``str(int)`` writes it."""
+    if not re.fullmatch(r"0|-?[1-9][0-9]*", cell):
+        raise ValueError(f"{cell!r} is not an integer cell")
+    return int(cell)
+
+
+def _real_cell(cell: str) -> float:
+    """A finite float cell with no whitespace or digit separators."""
+    x = float(cell)
+    if re.search(r"[\s_]", cell) or not math.isfinite(x):
+        raise ValueError(f"{cell!r} is not a finite real cell")
+    return x
+
+
+_INT = (str, _int_cell)
+_REAL = (repr, _real_cell)
 _FLAG = (lambda b: "1" if b else "0", lambda s: _one_of(s, ("0", "1")) == "1")
-_MS = _optional("{:.3f}".format, float)
+_MS = _optional("{:.3f}".format, _real_cell)
 
 # The experiment CSV: one (field, write_cell, read_cell) entry per column, in
 # column order.  The header, the row writer and the reader all derive from it.

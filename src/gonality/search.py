@@ -30,6 +30,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from .bounds import egg_cuts_reach, maximum_independent_set
 from .divisors import (
     Divisor,
     FiringScript,
@@ -69,17 +70,25 @@ class GonalityResult:
 
     ``degrees_searched`` lists every degree that was actually scanned, the
     successful one last.  Degrees below ``refutation_floor`` were excluded
-    by a caller-supplied certified lower bound instead of scanning; the
-    default floor of 1 means everything below the value was refuted by
-    exhaustive enumeration.  ``certificate`` is ``None`` for disconnected
-    graphs (the value is then the sum over components) and for the
-    single-vertex graph.
+    without scanning, by a caller-supplied certified lower bound or by the
+    edge-scramble bound; the default floor of 1 means everything below the
+    value was refuted by exhaustive enumeration.  ``certificate`` is
+    ``None`` for disconnected graphs (the value is then the sum over
+    components) and for the single-vertex graph.
+
+    ``closed_by`` names what settled the value: ``"scan"`` (a scanned
+    degree held a positive-rank divisor), ``"independence"`` (the scan
+    reached ``n - |I|``, whose witness is the independence construction),
+    ``"scramble"`` (the edge-scramble bound met ``n - alpha`` before any
+    scan) or ``"components"`` (a sum over several components, or the
+    single-vertex graph).
     """
 
     value: int
     certificate: Optional[PositiveRankCertificate]
     degrees_searched: tuple[int, ...]
     refutation_floor: int = 1
+    closed_by: str = "scan"
 
 
 @dataclass(frozen=True)
@@ -172,8 +181,12 @@ def gonality(
     callers that already hold certified bounds: degrees below the lower
     bound are skipped (callers must pass a proven bound such as exact
     treewidth), and when the scan reaches ``n - |I|`` the independence
-    construction supplies the witness without scanning that degree.  With
-    the defaults the search is a pure exhaustive scan from degree 1.
+    construction supplies the witness without scanning that degree.  The
+    set need not be maximum.  Before scanning, the edge-scramble bound is
+    tried: when every cut with an edge on each side has at least ``n - |I|``
+    edges (:func:`egg_cuts_reach`) and ``|I|`` is the independence number,
+    the value is ``n - |I|`` with no degree scanned.  With the defaults the
+    search is a pure exhaustive scan from degree 1.
 
     Disconnected graphs get the sum of their components' gonalities, and a
     single-vertex component contributes 0; no combined certificate is
@@ -190,17 +203,22 @@ def gonality(
             part = gonality(sub, budget, with_certificate=False)
             total += part.value
             searched.extend(part.degrees_searched)
-        return GonalityResult(total, None, tuple(searched))
+        return GonalityResult(total, None, tuple(searched), closed_by="components")
     if graph.n == 1:
         # convention: the one-vertex graph needs no chips to move, value 0
-        return GonalityResult(0, None, ())
+        return GonalityResult(0, None, (), closed_by="components")
     if lower_bound < 1:
         lower_bound = 1
     cap = None
+    closed_by = "independence"
     if independent_set is not None:
         independent_set = frozenset(independent_set)  # a repeated vertex counts once
         _check_independent(graph, independent_set)
         cap = graph.n - len(independent_set)
+        # the scramble bound is n - alpha, so a set below alpha raises nothing
+        if (lower_bound < cap and egg_cuts_reach(graph, cap)
+                and maximum_independent_set(graph).alpha == len(independent_set)):
+            lower_bound, closed_by = cap, "scramble"
 
     searched = []
     d = lower_bound
@@ -208,7 +226,8 @@ def gonality(
         if cap is not None and d >= cap:
             # theorem degree reached: the independence construction is the witness
             cert = certify_independence_bound(graph, independent_set) if with_certificate else None
-            return GonalityResult(cap, cert, tuple(searched + [cap]), refutation_floor=lower_bound)
+            return GonalityResult(cap, cert, tuple(searched + [cap]), refutation_floor=lower_bound,
+                                  closed_by=closed_by)
         try:
             hit = _scan_degree(graph, d, budget)
         except BudgetExceededError as exc:

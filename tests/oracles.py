@@ -4,7 +4,7 @@ Everything here deliberately avoids the library's reduction machinery:
 equivalence and rank are decided by enumerating firing scripts or by exact
 rational linear algebra on the Laplacian (rank and positive rank by the
 latter alone, so no script bound can make them under-report), independence
-numbers by subset enumeration, and small-graph corpora come from networkx.
+numbers and edge cuts by subset enumeration, and small-graph corpora come from networkx.
 Keeping these paths separate is what makes agreement tests meaningful.
 """
 
@@ -13,8 +13,10 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import lcm
 import random
+from typing import Optional
 
 import networkx as nx
+from hypothesis import strategies as st
 
 from gonality import Graph, build_graph
 
@@ -140,6 +142,18 @@ def brute_gonality(graph: Graph) -> int:
         d += 1
 
 
+def brute_egg_cut(graph: Graph) -> Optional[int]:
+    """Smallest edge cut with an edge inside each side, over every vertex
+    subset; ``None`` when no subset has an edge on both sides."""
+    best = None
+    for mask in range(1, (1 << graph.n) - 1):
+        sides = [(mask >> u & 1) + (mask >> v & 1) for u, v in graph.edges]
+        if 2 in sides and 0 in sides:
+            cut = sides.count(1)
+            best = cut if best is None else min(best, cut)
+    return best
+
+
 def brute_treewidth(graph: Graph) -> int:
     """Treewidth by trying every elimination order with explicit fill-in."""
     from itertools import permutations
@@ -225,3 +239,13 @@ def random_connected_graph(rnd: random.Random, n: int, p: float) -> Graph:
         graph = random_graph(rnd, n, p)
         if graph.is_connected():
             return graph
+
+
+def draw_connected_graph(data, min_n: int, max_n: int) -> Graph:
+    """A connected graph drawn through hypothesis's ``data``: a random tree
+    plus any subset of the other vertex pairs."""
+    n = data.draw(st.integers(min_n, max_n))
+    edges = {(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    extra = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, sorted(edges | {e for e, keep in zip(pairs, extra) if keep}))

@@ -22,6 +22,7 @@ from gonality import (
     complete_graph,
     cycle_graph,
     degeneracy,
+    egg_cuts_reach,
     frieze_alpha_estimate,
     maximum_independent_set,
     min_degree,
@@ -35,9 +36,18 @@ from gonality import (
     treewidth_lower_bound,
     validate_tree_decomposition,
 )
+from gonality import bounds
 from gonality.bounds import _frieze_bracket
 
-from oracles import brute_alpha, brute_max_clique_complement, brute_treewidth, random_graph
+from oracles import (
+    brute_alpha,
+    brute_egg_cut,
+    brute_max_clique_complement,
+    brute_treewidth,
+    connected_atlas,
+    draw_connected_graph,
+    random_graph,
+)
 
 
 def _reference_mis(graph: Graph, budget: Optional[int] = None) -> MISResult:
@@ -264,6 +274,70 @@ class TestTreewidthLowerBound:
     def test_equals_degeneracy(self):
         g = grid_graph(3, 4)
         assert treewidth_lower_bound(g) == degeneracy(g) == 2
+
+
+class TestEggCuts:
+    """``egg_cuts_reach`` against the subset-enumeration oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(g):
+        e = brute_egg_cut(g)
+        for k in range(1, g.n + 2):
+            assert egg_cuts_reach(g, k) == (e is None or e >= k), (g.edges, k, e)
+
+    def test_atlas(self):
+        for g in connected_atlas(6):
+            self.assert_matches_oracle(g)
+
+    def test_random_graphs(self):
+        rnd = random.Random(47)
+        for _ in range(150):
+            n = rnd.randint(4, 10)
+            self.assert_matches_oracle(random_graph(rnd, n, rnd.choice((0.3, 0.5, 0.8, 0.95))))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @given(st.data())
+    def test_matches_oracle_property(self, data):
+        self.assert_matches_oracle(draw_connected_graph(data, 2, 8))
+
+    def test_isolated_vertex_is_not_the_flow_source(self):
+        # two K4s and an isolated vertex: the floors cannot see the empty cut
+        edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+        g = build_graph(9, edges + [(u + 4, v + 4) for u, v in edges])
+        assert brute_egg_cut(g) == 0
+        assert not egg_cuts_reach(g, 1)
+
+    def test_no_two_disjoint_edges_means_no_cut(self):
+        # a star and a triangle have no cut with an edge on each side
+        for g in (build_graph(5, [(0, v) for v in range(1, 5)]), complete_graph(3)):
+            assert egg_cuts_reach(g, 100)
+
+    @pytest.fixture
+    def no_flows(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the flow stage ran")
+        monkeypatch.setattr(bounds, "_disjoint_paths_reach", refuse)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_degree_floors_settle_complete_graphs_at_their_cut(self, n, no_flows):
+        # the smallest cut of K_n with an edge on each side splits 2 | n - 2
+        assert egg_cuts_reach(complete_graph(n), 2 * (n - 2))
+
+    @pytest.mark.parametrize("g", [cycle_graph(6), path_graph(4), grid_graph(3, 3)], ids=["C6", "P4", "grid"])
+    def test_one_edge_refutes_sparse_graphs(self, g, no_flows):
+        # each of these has a smallest cut around the two ends of one edge;
+        # in P4 a single edge is clear of them
+        assert not egg_cuts_reach(g, brute_egg_cut(g) + 1)
+
+    def test_flows_settle_what_the_floors_leave(self):
+        # two K4s joined by a perfect matching: every edge has 4 other edges
+        # at its ends, the floors stop at 3, and the matching is a cut of 4
+        edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+        edges += [(u + 4, v + 4) for u, v in edges] + [(v, v + 4) for v in range(4)]
+        g = build_graph(8, edges)
+        assert brute_egg_cut(g) == 4
+        assert egg_cuts_reach(g, 4)
+        assert not egg_cuts_reach(g, 5)
 
 
 class TestMaximumIndependentSet:

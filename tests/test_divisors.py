@@ -41,6 +41,7 @@ from gonality.divisors import _dhar_unburnt, _rank_of_reduced
 from oracles import (
     brute_positive_rank,
     brute_rank,
+    draw_connected_graph,
     eff_equiv_by_scripts,
     equivalent_images,
     exact_equivalent,
@@ -149,6 +150,16 @@ class TestQReduce:
             red = q_reduce(g, random_divisor(rnd, g.n), q)
             assert all(red.chips[v] >= 0 for v in range(g.n) if v != q)
             assert not _dhar_unburnt(g, list(red.chips), q)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(st.data())
+    def test_firing_scripts_do_not_move_the_reduction_property(self, data):
+        g = draw_connected_graph(data, 1, 8)
+        n = g.n
+        d = Divisor(tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
+        f = FiringScript(tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
+        q = data.draw(st.integers(0, n - 1))
+        assert q_reduce(g, apply_firing(g, d, f), q) == q_reduce(g, d, q)
 
     def test_script_variant_consistent(self):
         rnd = random.Random(17)

@@ -265,3 +265,28 @@ def test_flag_and_mode_cells_are_checked(tmp_path, column, cell):
     path.write_text(CSV_HEADER + "\n" + GOOD_ROW + "\n" + ",".join(fields) + "\n")
     with pytest.raises(GonalityError, match=rf"{path}, line 3: '{cell}' is not one of"):
         read_records_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "column,cell",
+    [(0, "1_0"), (0, " 6"), (0, "6 "), (0, "+6"), (0, "06"), (0, "-0"), (0, "6.0"), (0, "٦"),
+     (4, "7e0"), (13, "3_"), (10, " 2"),
+     (1, "nan"), (1, "inf"), (1, "-Infinity"), (1, "2_5"), (2, " 0.5"), (2, "0.5\t"),
+     (15, "NaN"), (15, "1_0.000")],
+)
+def test_numeric_cells_are_strict(tmp_path, column, cell):
+    fields = GOOD_ROW.split(",")
+    fields[column] = cell
+    path = tmp_path / "bad.csv"
+    path.write_text(CSV_HEADER + "\n" + GOOD_ROW + "\n" + ",".join(fields) + "\n")
+    with pytest.raises(GonalityError, match=rf"{path}, line 3: "):
+        read_records_csv(str(path))
+
+
+def test_written_numeric_cells_read_back(tmp_path):
+    fields = GOOD_ROW.split(",")
+    fields[1], fields[15], fields[16], fields[17] = "1e-07", "0.125", "12.000", "-0.000"
+    path = tmp_path / "good.csv"
+    path.write_text(CSV_HEADER + "\n" + ",".join(fields) + "\n")
+    (record,) = read_records_csv(str(path))
+    assert (record.n, record.c, record.ms_alpha, record.ms_gon) == (6, 1e-07, 0.125, -0.0)

@@ -19,6 +19,7 @@ from gonality import (
     complement_divisor,
     complete_graph,
     cycle_graph,
+    egg_cuts_reach,
     genus,
     gonality,
     has_positive_rank,
@@ -34,10 +35,13 @@ from gonality.divisors import _dhar_unburnt, _positive_rank_scripts
 from gonality.search import _reduced_candidates
 
 from oracles import (
+    brute_alpha,
+    brute_egg_cut,
     brute_gonality,
     brute_positive_rank,
     brute_rank,
     connected_atlas,
+    draw_connected_graph,
     random_connected_graph,
 )
 
@@ -180,6 +184,83 @@ class TestGonalityResult:
             assert treewidth_exact(g)[0] <= value
             assert value <= g.n - maximum_independent_set(g).alpha
             assert value >= min_degree(g)
+
+
+def octahedron():
+    # K_{2,2,2}: every pair adjacent except the antipodes v, v + 3
+    return build_graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if v != u + 3])
+
+
+class TestScrambleClosure:
+    """The edge-scramble bound closes the search at n - alpha before any scan."""
+
+    def test_bound_and_closure_on_atlas(self):
+        closed = 0
+        for g in connected_atlas(6):
+            if g.n < 2:
+                continue
+            value = brute_gonality(g)
+            e = brute_egg_cut(g)
+            bound = g.n - brute_alpha(g) if e is None else min(g.n - brute_alpha(g), e)
+            assert bound <= value
+            result = gonality(g, independent_set=maximum_independent_set(g).independent.vertices)
+            assert result.value == value
+            if result.closed_by == "scramble":
+                closed += 1
+                assert bound == value
+                assert result.degrees_searched == (value,) == (result.refutation_floor,)
+                assert verify_certificate(g, result.certificate)
+        assert closed > 20
+
+    def test_closed_values_equal_the_scan(self):
+        rnd = random.Random(39)
+        closed = 0
+        for _ in range(120):
+            g = random_connected_graph(rnd, rnd.randint(4, 10), rnd.choice((0.3, 0.5, 0.8, 0.95)))
+            scan = gonality(g, with_certificate=False).value
+            mis = maximum_independent_set(g).independent.vertices
+            for lower_bound in (1, treewidth_exact(g)[0]):
+                result = gonality(g, with_certificate=False, lower_bound=lower_bound, independent_set=mis)
+                assert result.value == scan
+                closed += result.closed_by == "scramble"
+        assert closed > 40
+
+    def test_octahedron_needs_a_maximum_set(self):
+        # the cuts reach n - |{0}| = 5, but alpha is 2 and gon = tw = 4
+        g = octahedron()
+        assert egg_cuts_reach(g, 5)
+        result = gonality(g, independent_set=frozenset({0}))
+        assert result.value == 4 and result.closed_by == "scan"
+        result = gonality(g, independent_set=frozenset({0, 3}))
+        assert result.value == 4 and result.closed_by == "scramble"
+        assert result.degrees_searched == (4,) and result.refutation_floor == 4
+
+    def test_closed_by_names_each_path(self):
+        k4 = complete_graph(4)
+        assert gonality(cycle_graph(5)).closed_by == "scan"
+        assert gonality(k4, independent_set=frozenset({0})).closed_by == "scramble"
+        assert gonality(k4, lower_bound=3, independent_set=frozenset({0})).closed_by == "independence"
+        assert gonality(build_graph(4, [(0, 1), (2, 3)])).closed_by == "components"
+        assert gonality(build_graph(1, [])).closed_by == "components"
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.data())
+    def test_every_emitted_certificate_verifies_and_agrees(self, data):
+        g = draw_connected_graph(data, 2, 7)
+        # an independent set, maximum or not: greedy over a drawn order
+        order = data.draw(st.permutations(range(g.n)))
+        chosen: set[int] = set()
+        for v in order[:data.draw(st.integers(1, g.n))]:
+            if not g.adjacency[v] & chosen:
+                chosen.add(v)
+        lower_bound = data.draw(st.sampled_from((1, treewidth_exact(g)[0])))
+        values = set()
+        for kwargs in ({}, {"lower_bound": lower_bound, "independent_set": frozenset(chosen)}):
+            result = gonality(g, **kwargs)
+            assert result.certificate.divisor.degree == result.value
+            assert verify_certificate(g, result.certificate)
+            values.add(result.value)
+        assert len(values) == 1
 
 
 class TestPositiveRankAgainstBaseZero:
