@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import EdgeCountError, GonalityError, MalformedHeaderError, SizeLimitError
-from .graphs import Graph, degeneracy
+from .graphs import Graph, build_graph, degeneracy, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -78,16 +78,13 @@ def validate_tree_decomposition(graph: Graph, td: TreeDecomposition) -> Validati
     k = len(td.bags)
     width = td.width
 
-    # tree structure: valid indices, no loops or duplicates, connected, acyclic
-    seen = set()
-    for a, b in td.tree_edges:
-        if not (0 <= a < k and 0 <= b < k) or a == b:
-            return ValidationReport(False, "tree structure", width)
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            return ValidationReport(False, "tree structure", width)
-        seen.add(key)
-    if len(td.tree_edges) != k - 1 or not _induced_connected(list(range(k)), td.tree_edges):
+    # tree structure: the edges build a simple graph on the bag indices
+    # (valid indices, no loops or duplicates) that is connected and acyclic
+    try:
+        tree = build_graph(k, td.tree_edges)
+    except GonalityError:
+        return ValidationReport(False, "tree structure", width)
+    if tree.m != k - 1 or not tree.is_connected():
         return ValidationReport(False, "tree structure", width)
 
     # property 1 also catches bag members outside the vertex range
@@ -97,7 +94,7 @@ def validate_tree_decomposition(graph: Graph, td: TreeDecomposition) -> Validati
 
     for v in range(graph.n):
         holding = [i for i, bag in enumerate(td.bags) if v in bag]
-        if not _induced_connected(holding, td.tree_edges):
+        if not induced_subgraph(tree, holding)[0].is_connected():
             return ValidationReport(False, "property 2", width)
 
     for u, v in graph.edges:
@@ -356,26 +353,6 @@ def parse_tree_decomposition(text: str) -> TreeDecomposition:
 
 
 # -- internals ---------------------------------------------------------------
-
-def _induced_connected(nodes: list[int], edges: tuple[tuple[int, int], ...]) -> bool:
-    if not nodes:
-        return False
-    keep = set(nodes)
-    nbr = {u: [] for u in keep}
-    for a, b in edges:
-        if a in keep and b in keep:
-            nbr[a].append(b)
-            nbr[b].append(a)
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        u = stack.pop()
-        for w in nbr[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(keep)
-
 
 def _back_degree(adj: tuple[int, ...], prefix: int, v: int) -> int:
     """Neighbors outside the prefix of v's component within prefix + v."""

@@ -28,7 +28,8 @@ class MalformedHeaderError(GonalityError):
 
 
 class EdgeCountError(GonalityError):
-    """The number of edge lines does not match the header."""
+    """The number of edge lines does not match the header, or an edge is not
+    exactly two integer endpoints."""
 
 
 class DisconnectedGraphError(GonalityError):

@@ -10,6 +10,8 @@ lexicographic order; the parser accepts edges in any order.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -126,15 +128,19 @@ class Graph:
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Validate and build a :class:`Graph`.
 
-    Rejects self-loops, duplicate unordered pairs, and endpoints outside
-    ``[0, n)``, each with its own exception type.
+    Rejects an edge that is not exactly two integer endpoints, self-loops,
+    duplicate unordered pairs, and endpoints outside ``[0, n)``, each with
+    its own exception type.
     """
     if n < 0:
         raise GonalityError(f"vertex count must be nonnegative, got {n}")
     seen: set[tuple[int, int]] = set()
     normalized: list[tuple[int, int]] = []
     for e in edges:
-        u, v = int(e[0]), int(e[1])
+        try:
+            u, v = map(operator.index, e)
+        except (TypeError, ValueError) as exc:
+            raise EdgeCountError(f"edge {e!r} is not two integer endpoints") from exc
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -206,15 +212,9 @@ def sample_gnp(params: GnpParams) -> Graph:
     """
     n = params.n
     rng = np.random.Generator(np.random.PCG64(params.seed))
-    draws = rng.random(n * (n - 1) // 2)
-    edges = []
-    k = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if draws[k] < params.p:
-                edges.append((u, v))
-            k += 1
-    return Graph(n, tuple(edges))
+    draws = rng.random(n * (n - 1) // 2).tolist()
+    pairs = itertools.combinations(range(n), 2)
+    return Graph(n, tuple(e for e, draw in zip(pairs, draws) if draw < params.p))
 
 
 def min_degree(graph: Graph) -> int:

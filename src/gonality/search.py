@@ -25,6 +25,7 @@ produced them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -46,6 +47,7 @@ from .divisors import (
 from .errors import (
     BudgetExceededError,
     CertificateError,
+    DisconnectedGraphError,
     GonalityError,
     NotIndependentError,
 )
@@ -69,19 +71,20 @@ class GonalityResult:
     """Outcome of an exact gonality search.
 
     ``degrees_searched`` lists every degree that was actually scanned, the
-    successful one last.  Degrees below ``refutation_floor`` were excluded
-    without scanning, by a caller-supplied certified lower bound or by the
-    edge-scramble bound; the default floor of 1 means everything below the
-    value was refuted by exhaustive enumeration.  ``certificate`` is
-    ``None`` for disconnected graphs (the value is then the sum over
-    components) and for the single-vertex graph.
+    successful one last, or ``n - |I|`` last, unscanned, when the
+    independence construction closed it.  Degrees below ``refutation_floor``
+    were excluded without scanning, by a caller-supplied certified lower
+    bound or by the edge-scramble bound; the default floor of 1 means
+    everything below the value was refuted by exhaustive enumeration.
+    ``certificate`` is ``None`` for disconnected graphs (the value is then
+    the sum over components) and for the single-vertex graph.
 
     ``closed_by`` names what settled the value: ``"scan"`` (a scanned
     degree held a positive-rank divisor), ``"independence"`` (the scan
-    reached ``n - |I|``, whose witness is the independence construction),
-    ``"scramble"`` (the edge-scramble bound met ``n - alpha`` before any
-    scan) or ``"components"`` (a sum over several components, or the
-    single-vertex graph).
+    reached ``n - |I|``, I empty by default, whose witness is the
+    independence construction), ``"scramble"`` (the edge-scramble bound
+    met ``n - alpha`` before any scan) or ``"components"`` (a sum over
+    several components, or the single-vertex graph).
     """
 
     value: int
@@ -178,15 +181,22 @@ def gonality(
     exceeding it raises :class:`BudgetExceededError` (never a wrong answer).
 
     ``lower_bound`` and ``independent_set`` are optional accelerators for
-    callers that already hold certified bounds: degrees below the lower
-    bound are skipped (callers must pass a proven bound such as exact
-    treewidth), and when the scan reaches ``n - |I|`` the independence
-    construction supplies the witness without scanning that degree.  The
-    set need not be maximum.  Before scanning, the edge-scramble bound is
-    tried: when every cut with an edge on each side has at least ``n - |I|``
-    edges (:func:`egg_cuts_reach`) and ``|I|`` is the independence number,
-    the value is ``n - |I|`` with no degree scanned.  With the defaults the
-    search is a pure exhaustive scan from degree 1.
+    callers that already hold certified bounds.  With I the given set
+    (empty by default; it need not be maximum), the search scans degrees
+    ``lower_bound <= d < n - |I|`` upward; callers must pass a proven lower
+    bound, such as exact treewidth.  If no scanned degree holds a
+    positive-rank divisor, the value is ``n - |I|``, witnessed by the
+    independence construction without a scan; for an empty I that cap,
+    ``n``, is never reached on a connected graph.  For a non-empty I the
+    edge-scramble bound is tried first: when every cut with an edge on
+    each side has at least ``n - |I|`` edges (:func:`egg_cuts_reach`) and
+    ``|I|`` is the independence number, the value is ``n - |I|`` with no
+    degree scanned.  With the defaults the search is a pure exhaustive
+    scan from degree 1.  Both accelerators are checked on every graph: a
+    set that is not independent raises :class:`GonalityError`
+    (:class:`NotIndependentError` for an edge inside it), and so does a
+    ``lower_bound`` above ``n - |I|``, which no gonality exceeds (the
+    default 1 always stands).
 
     Disconnected graphs get the sum of their components' gonalities, and a
     single-vertex component contributes 0; no combined certificate is
@@ -194,6 +204,13 @@ def gonality(
     """
     if graph.n == 0:
         raise GonalityError("gonality of the empty graph is undefined")
+    independent = frozenset(independent_set or ())  # a repeated vertex counts once
+    _check_independent(graph, independent)
+    cap = graph.n - len(independent)
+    # every graph has gon <= n - |I|; the default floor 1 stands even where
+    # gon is 0 (no component has an edge), as the scan never runs there
+    if lower_bound > max(cap, 1):
+        raise GonalityError(f"lower bound {lower_bound} exceeds n - |I| = {cap}")
     comps = graph.components
     if len(comps) > 1:
         total = 0
@@ -207,27 +224,15 @@ def gonality(
     if graph.n == 1:
         # convention: the one-vertex graph needs no chips to move, value 0
         return GonalityResult(0, None, (), closed_by="components")
-    if lower_bound < 1:
-        lower_bound = 1
-    cap = None
+    floor = max(lower_bound, 1)
     closed_by = "independence"
-    if independent_set is not None:
-        independent_set = frozenset(independent_set)  # a repeated vertex counts once
-        _check_independent(graph, independent_set)
-        cap = graph.n - len(independent_set)
-        # the scramble bound is n - alpha, so a set below alpha raises nothing
-        if (lower_bound < cap and egg_cuts_reach(graph, cap)
-                and maximum_independent_set(graph).alpha == len(independent_set)):
-            lower_bound, closed_by = cap, "scramble"
+    # the scramble bound is n - alpha, so a set below alpha raises nothing
+    if (independent and floor < cap and egg_cuts_reach(graph, cap)
+            and maximum_independent_set(graph).alpha == len(independent)):
+        floor, closed_by = cap, "scramble"
 
     searched = []
-    d = lower_bound
-    while True:
-        if cap is not None and d >= cap:
-            # theorem degree reached: the independence construction is the witness
-            cert = certify_independence_bound(graph, independent_set) if with_certificate else None
-            return GonalityResult(cap, cert, tuple(searched + [cap]), refutation_floor=lower_bound,
-                                  closed_by=closed_by)
+    for d in range(floor, cap):
         try:
             hit = _scan_degree(graph, d, budget)
         except BudgetExceededError as exc:
@@ -235,10 +240,10 @@ def gonality(
         searched.append(d)
         if hit is not None:
             cert = _build_certificate(graph, *hit) if with_certificate else None
-            return GonalityResult(d, cert, tuple(searched), refutation_floor=lower_bound)
-        if d > graph.n:
-            raise CertificateError("search passed degree n without a witness; this is a bug")
-        d += 1
+            return GonalityResult(d, cert, tuple(searched), refutation_floor=floor)
+    # theorem degree reached: the independence construction is the witness
+    cert = certify_independence_bound(graph, independent) if with_certificate else None
+    return GonalityResult(cap, cert, tuple(searched + [cap]), refutation_floor=floor, closed_by=closed_by)
 
 
 def clifford_index(graph: Graph, budget: Optional[int] = None) -> Optional[CliffordResult]:
@@ -251,7 +256,7 @@ def clifford_index(graph: Graph, budget: Optional[int] = None) -> Optional[Cliff
     of representatives examined.
     """
     if len(graph.components) != 1:
-        raise GonalityError("clifford_index requires a connected graph")
+        raise DisconnectedGraphError("clifford_index requires a connected graph")
     g = genus(graph)
     kan = canonical_divisor(graph)
     best: Optional[CliffordResult] = None
@@ -280,8 +285,12 @@ def clifford_index(graph: Graph, budget: Optional[int] = None) -> Optional[Cliff
 def _check_independent(graph: Graph, vertices) -> None:
     vs = set(vertices)
     for v in vs:
-        if not (0 <= v < graph.n):
-            raise GonalityError(f"vertex {v} outside [0, {graph.n})")
+        try:
+            ok = 0 <= operator.index(v) < graph.n
+        except TypeError:  # 0.5 is no vertex, yet it would shrink n - |I|
+            ok = False
+        if not ok:
+            raise GonalityError(f"vertex {v!r} is not an integer in [0, {graph.n})")
     for u, v in graph.edges:
         if u in vs and v in vs:
             raise NotIndependentError(f"vertices {u} and {v} are adjacent")

@@ -193,6 +193,20 @@ class TestValidator:
         td = TreeDecomposition((frozenset({0, 1}), frozenset({1, 2})), ())
         assert validate_tree_decomposition(g, td).violation == "tree structure"
 
+    @pytest.mark.parametrize("tree_edges", [
+        ((0, 1), (1, 1)),   # self-loop
+        ((0, 1), (1, 0)),   # reversed duplicate
+        ((0, 1), (1, 3)),   # index k
+        ((0, 1), (-1, 2)),  # index -1
+        ((0, 1), (1, 2, 0)),  # three ends
+        ((0, 1), (1,)),     # one end
+    ])
+    def test_malformed_tree_edges_name_tree_structure(self, tree_edges):
+        g = path_graph(3)
+        td = TreeDecomposition((frozenset({0, 1}), frozenset({1, 2}), frozenset({1})), tree_edges)
+        report = validate_tree_decomposition(g, td)
+        assert not report and report.violation == "tree structure"
+
 
 class TestTreewidthExact:
     @pytest.mark.parametrize("n", range(2, 9))

@@ -47,6 +47,15 @@ class TestBuildGraph:
         with pytest.raises(VertexRangeError):
             build_graph(3, [(-1, 2)])
 
+    @pytest.mark.parametrize("edge", [(0, 1, 2), (0,), (), (0, 1.7), ("0", "1"), 5, None])
+    def test_rejects_an_edge_that_is_not_two_integers(self, edge):
+        with pytest.raises(EdgeCountError):
+            build_graph(3, [edge])
+
+    def test_accepts_numpy_integer_endpoints(self):
+        g = build_graph(3, [np.array([2, 0])])
+        assert g.edges == ((0, 2),) and type(g.edges[0][0]) is int
+
     def test_edges_normalized_sorted(self):
         g = build_graph(4, [(3, 1), (2, 0)])
         assert g.edges == ((0, 2), (1, 3))

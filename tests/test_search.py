@@ -3,12 +3,14 @@ import random
 import tracemalloc
 from typing import Iterator, Optional
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gonality import (
     BudgetExceededError,
     CertificateError,
+    DisconnectedGraphError,
     Divisor,
     GonalityError,
     NotIndependentError,
@@ -575,8 +577,63 @@ class TestCliffordIndex:
             clifford_index(complete_graph(6), budget=3)
 
     def test_rejects_disconnected(self):
-        with pytest.raises(GonalityError):
+        with pytest.raises(DisconnectedGraphError):
             clifford_index(build_graph(4, [(0, 1), (2, 3)]))
+
+
+class TestAcceleratorChecks:
+    """The accelerators are checked on every path, before the split into
+    components, and the scan runs over ``[floor, n - |I|)``."""
+
+    @pytest.mark.parametrize("independent_set, error", [
+        ({99}, GonalityError),
+        ({-1}, GonalityError),
+        ({0, 1}, NotIndependentError),
+        ({"a"}, GonalityError),
+    ])
+    def test_bad_set_on_a_disconnected_graph(self, independent_set, error):
+        with pytest.raises(error):
+            gonality(build_graph(4, [(0, 1), (2, 3)]), independent_set=independent_set)
+
+    def test_non_integer_vertices_are_rejected(self):
+        # three fractional "vertices" touch no edge, so n - |I| read 1 on K4
+        with pytest.raises(GonalityError, match="not an integer"):
+            gonality(complete_graph(4), independent_set={0.1, 0.2, 0.3}, with_certificate=False)
+        assert gonality(complete_graph(4), independent_set={np.int64(0)}).value == 3
+
+    def test_bad_set_on_the_single_vertex(self):
+        with pytest.raises(GonalityError):
+            gonality(path_graph(1), independent_set={1})
+
+    @pytest.mark.parametrize("graph, independent_set, lower_bound", [
+        (complete_graph(4), None, 5),
+        (complete_graph(4), {0}, 4),
+        (cycle_graph(6), {0, 2, 4}, 4),
+        (build_graph(4, [(0, 1), (2, 3)]), {0, 2}, 3),
+        (build_graph(3, []), {0, 1, 2}, 2),
+    ])
+    def test_lower_bound_above_the_cap(self, graph, independent_set, lower_bound):
+        with pytest.raises(GonalityError, match=r"exceeds n - \|I\|"):
+            gonality(graph, lower_bound=lower_bound, independent_set=independent_set)
+
+    def test_default_floor_stands_where_every_vertex_is_in_the_set(self):
+        # n - |I| = 0 on an edgeless graph, below the default floor 1
+        assert gonality(build_graph(3, []), independent_set={0, 1, 2}).value == 0
+        assert gonality(path_graph(1), independent_set={0}).value == 0
+
+    def test_empty_set_is_the_default(self, monkeypatch):
+        # with I empty the scramble test is skipped, as alpha >= 1 > |I|
+        monkeypatch.setattr(search, "egg_cuts_reach", None)
+        for g in connected_atlas(5):
+            assert gonality(g, independent_set=frozenset()) == gonality(g)
+
+    def test_scan_stops_below_the_cap(self):
+        # gon = n - alpha = 3, but a cut of 2 edges keeps the scramble open,
+        # so degrees 1 and 2 are scanned and 3 is closed unscanned
+        g = build_graph(6, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
+        result = gonality(g, independent_set={2, 4, 5})
+        assert (result.value, result.degrees_searched, result.closed_by) == (3, (1, 2, 3), "independence")
+        assert verify_certificate(g, result.certificate)
 
 
 def test_gonality_rejects_empty_graph():
