@@ -11,7 +11,6 @@ from gonality import (
     apply_firing,
     build_graph,
     certify_independence_bound,
-    clifford_index,
     complete_graph,
     cycle_graph,
     gonality,
@@ -54,7 +53,3 @@ mis = maximum_independent_set(petersen)
 cert = certify_independence_bound(petersen, mis.independent.vertices)
 print(f"\nindependence certificate: degree {cert.divisor.degree} "
       f"= n - alpha = {petersen.n} - {mis.alpha}")
-
-# the Clifford index refines the picture for higher-rank classes
-for name, g in [("K5", complete_graph(5)), ("C6", cycle_graph(6))]:
-    print(f"Clifford index of {name}: {clifford_index(g)}")

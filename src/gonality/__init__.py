@@ -1,9 +1,9 @@
 """Chip-firing divisor theory on finite simple graphs.
 
 The library computes q-reduced divisors, linear equivalence, Baker-Norine
-rank, exact gonality with verifiable certificates, and the Clifford index;
-bounds gonality between exact treewidth and ``n - alpha``; and drives a
-reproducible Monte Carlo harness over Erdos-Renyi random graphs.
+rank, and exact gonality with verifiable certificates; bounds gonality
+between exact treewidth and ``n - alpha``; and drives a reproducible Monte
+Carlo harness over Erdos-Renyi random graphs.
 """
 
 from .bounds import (
@@ -82,11 +82,9 @@ from .graphs import (
     serialize_graph,
 )
 from .search import (
-    CliffordResult,
     GonalityResult,
     PositiveRankCertificate,
     certify_independence_bound,
-    clifford_index,
     complement_divisor,
     gonality,
     parse_certificate,

@@ -5,7 +5,9 @@ independence estimate.
 Treewidth and the edge scramble bound gonality from below; ``n - alpha``
 bounds it from above.  Treewidth and ``n - alpha`` come with checkable
 artifacts: a tree decomposition that the validator accepts, and an
-independent set whose independence is re-checked on construction.
+independent set.  :class:`IndependentSet` checks nothing; ``gonality()``,
+``complement_divisor`` and ``certify_independence_bound`` check the set
+where they use it, in ``search._check_independent``.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ worker count or scheduling.  Wall-clock columns are left empty unless
 from __future__ import annotations
 
 import math
+import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -319,8 +320,10 @@ def run_experiment(
         for n in sorted(config.n_list)
         for trial in range(config.trials)
     ]
-    if config.workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    # a forking pool starts every worker up front, used or not
+    workers = min(config.workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_trial_from_task, tasks, chunksize=4))
     else:
         records = [_trial_from_task(t) for t in tasks]

@@ -125,15 +125,25 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _vertex_count(n, least: int, caller: str) -> int:
+    """``n`` as an ``int`` of at least ``least``, or a :class:`GonalityError`."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise GonalityError(f"{caller} needs an integer vertex count, got {n!r}") from None
+    if n < least:
+        raise GonalityError(f"{caller} needs n >= {least}, got {n}")
+    return n
+
+
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Validate and build a :class:`Graph`.
 
-    Rejects an edge that is not exactly two integer endpoints, self-loops,
-    duplicate unordered pairs, and endpoints outside ``[0, n)``, each with
-    its own exception type.
+    Rejects a vertex count that is not a nonnegative integer, and an edge
+    that is not two integer endpoints, a self-loop, a duplicate unordered
+    pair or an endpoint outside ``[0, n)``, each with its own exception type.
     """
-    if n < 0:
-        raise GonalityError(f"vertex count must be nonnegative, got {n}")
+    n = _vertex_count(n, 0, "build_graph")
     seen: set[tuple[int, int]] = set()
     normalized: list[tuple[int, int]] = []
     for e in edges:
@@ -154,21 +164,18 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 1:
-        raise GonalityError(f"complete_graph needs n >= 1, got {n}")
+    n = _vertex_count(n, 1, "complete_graph")
     return Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise GonalityError(f"cycle_graph needs n >= 3, got {n}")
+    n = _vertex_count(n, 3, "cycle_graph")
     edges = sorted(tuple(sorted((v, (v + 1) % n))) for v in range(n))
     return Graph(n, tuple(edges))
 
 
 def path_graph(n: int) -> Graph:
-    if n < 1:
-        raise GonalityError(f"path_graph needs n >= 1, got {n}")
+    n = _vertex_count(n, 1, "path_graph")
     return Graph(n, tuple((v, v + 1) for v in range(n - 1)))
 
 
@@ -187,8 +194,7 @@ class GnpParams:
     p: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise GonalityError(f"GnpParams needs n >= 1, got {self.n}")
+        object.__setattr__(self, "n", _vertex_count(self.n, 1, "GnpParams"))
         if not (0 <= self.seed < 2**64):
             raise GonalityError(f"seed must fit in 64 bits, got {self.seed}")
         p = self.c / self.n

@@ -1,4 +1,4 @@
-"""Exact gonality search, positive-rank certificates, and the Clifford index.
+"""Exact gonality search and positive-rank certificates.
 
 The gonality of a graph is the smallest degree of a divisor with positive
 rank.  The search scans degrees upward; at each degree it enumerates the
@@ -36,10 +36,8 @@ from .divisors import (
     Divisor,
     FiringScript,
     apply_firing,
-    canonical_divisor,
     parse_divisor,
     parse_firing_script,
-    rank,
     serialize_divisor,
     serialize_firing_script,
     _positive_rank_scripts,
@@ -47,11 +45,10 @@ from .divisors import (
 from .errors import (
     BudgetExceededError,
     CertificateError,
-    DisconnectedGraphError,
     GonalityError,
     NotIndependentError,
 )
-from .graphs import Graph, genus, induced_subgraph
+from .graphs import Graph, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -92,13 +89,6 @@ class GonalityResult:
     degrees_searched: tuple[int, ...]
     refutation_floor: int = 1
     closed_by: str = "scan"
-
-
-@dataclass(frozen=True)
-class CliffordResult:
-    value: int
-    witness: Divisor
-    witness_rank: int
 
 
 def verify_certificate(graph: Graph, cert: PositiveRankCertificate) -> bool:
@@ -154,17 +144,9 @@ def certify_independence_bound(graph: Graph, independent: frozenset[int] | set[i
                 f"vertex {v} is isolated; the firing construction needs every "
                 "independent vertex to have a neighbor"
             )
-    zero = FiringScript.zero(graph.n)
-    witnesses = []
-    for v in range(graph.n):
-        if v in ind:
-            witnesses.append(FiringScript(tuple(0 if u == v else 1 for u in range(graph.n))))
-        else:
-            witnesses.append(zero)
-    cert = PositiveRankCertificate(div, tuple(witnesses))
-    if not verify_certificate(graph, cert):
-        raise CertificateError("independence-bound certificate failed re-verification")
-    return cert
+    n = graph.n
+    scripts = [[int(u != v) for u in range(n)] if v in ind else [0] * n for v in range(n)]
+    return _build_certificate(graph, div.chips, scripts)
 
 
 def gonality(
@@ -244,40 +226,6 @@ def gonality(
     # theorem degree reached: the independence construction is the witness
     cert = certify_independence_bound(graph, independent) if with_certificate else None
     return GonalityResult(cap, cert, tuple(searched + [cap]), refutation_floor=floor, closed_by=closed_by)
-
-
-def clifford_index(graph: Graph, budget: Optional[int] = None) -> Optional[CliffordResult]:
-    """Minimize ``deg(D) - 2 rank(D)`` over classes with ``rank(D) > 0`` and
-    ``rank(K - D) > 0``; ``None`` when no class qualifies.
-
-    Classes are enumerated through their q-reduced representatives, one per
-    class, for each candidate degree; ties keep the first witness found
-    (lowest degree, then lexicographic).  ``budget`` caps the total number
-    of representatives examined.
-    """
-    if len(graph.components) != 1:
-        raise DisconnectedGraphError("clifford_index requires a connected graph")
-    g = genus(graph)
-    kan = canonical_divisor(graph)
-    best: Optional[CliffordResult] = None
-    examined = 0
-    # rank(D) > 0 forces at least one chip at the base in reduced form, and
-    # rank(K - D) > 0 forces deg(D) <= 2g - 3
-    for d in range(1, 2 * g - 2):
-        for chips in _reduced_candidates(graph, d):
-            examined += 1
-            if budget is not None and examined > budget:
-                raise BudgetExceededError(
-                    f"clifford_index budget of {budget} candidates exhausted"
-                )
-            div = Divisor(chips)
-            r = rank(graph, div)
-            if r < 1 or rank(graph, kan - div) < 1:
-                continue
-            value = d - 2 * r
-            if best is None or value < best.value:
-                best = CliffordResult(value, div, r)
-    return best
 
 
 # -- internals ---------------------------------------------------------------
@@ -383,22 +331,6 @@ def _burns_everything(graph: Graph, chips: np.ndarray, sources) -> np.ndarray:
         count = grown
 
 
-def _stable_chunks(graph: Graph, d: int, budget: Optional[int]) -> Iterator[np.ndarray]:
-    """The candidate chunks of degree d, cut to their q-reduced rows."""
-    for chips in _candidate_chunks(graph, d, budget):
-        yield chips[_burns_everything(graph, chips, 0)]
-
-
-def _reduced_candidates(graph: Graph, d: int, budget: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """q-reduced effective divisors of degree d with >= 1 chip at base 0.
-
-    Yielded in ascending lexicographic chip order.  ``budget`` caps the
-    vectors enumerated, counted before the burning pass.
-    """
-    for rows in _stable_chunks(graph, d, budget):
-        yield from map(tuple, rows.tolist())
-
-
 def _scan_degree(graph: Graph, d: int,
                  budget: Optional[int]) -> Optional[tuple[tuple[int, ...], list[list[int]]]]:
     """First positive-rank q-reduced divisor of degree d in lex order, with
@@ -409,7 +341,8 @@ def _scan_degree(graph: Graph, d: int,
     rows no such burn refutes go in order to the scalar test, which decides
     the rest and supplies the scripts.
     """
-    for rows in _stable_chunks(graph, d, budget):
+    for rows in _candidate_chunks(graph, d, budget):
+        rows = rows[_burns_everything(graph, rows, 0)]  # the q-reduced rows
         # burn each row from its first chip-free vertex, which refutes most
         # rows that fail, then the rows left from all their other ones, at
         # most a chunk of (row, vertex) pairs per burn
@@ -430,11 +363,10 @@ def _scan_degree(graph: Graph, d: int,
 
 
 def _build_certificate(graph: Graph, chips: tuple[int, ...], scripts: list[list[int]]) -> PositiveRankCertificate:
-    # vertices holding a chip fire nothing; like the independence
-    # certificate, they share one zero script
+    # the vertices holding a chip fire nothing, and share one zero script
     zero = FiringScript.zero(graph.n)
     witnesses = tuple(FiringScript(tuple(s)) if any(s) else zero for s in scripts)
     cert = PositiveRankCertificate(Divisor(chips), witnesses)
     if not verify_certificate(graph, cert):
-        raise CertificateError("gonality certificate failed re-verification")
+        raise CertificateError(f"certificate of {chips} failed re-verification")
     return cert

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import pytest
 
@@ -173,6 +174,46 @@ class TestRunExperiment:
         assert [
             (r.n, r.trial, r.seed, r.gon_exact, r.alpha) for r in back
         ] == [(r.n, r.trial, r.seed, r.gon_exact, r.alpha) for r in records]
+
+
+class _SerialPool:
+    """Stands in for the process pool: records the size asked for and maps
+    in this process, so no worker is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("workers, n_list, trials, cpus, size", [
+    (100000, (5,), 2, 64, 2),      # two tasks: two workers at most
+    (100000, (5, 6), 4, 3, 3),     # eight tasks on three cores
+    (2, (5, 6), 4, 64, 2),
+    (100000, (5, 6), 4, 1, None),  # one core: no pool
+    (100000, (5, 6), 4, None, None),
+    (1, (5, 6), 4, 64, None),
+    (100000, (5,), 1, 64, None),   # one task: no pool
+])
+def test_pool_size_is_capped_by_tasks_and_cores(tmp_path, monkeypatch, workers, n_list, trials, cpus, size):
+    monkeypatch.setattr("gonality.experiments.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    serial, pooled = str(tmp_path / "serial.csv"), str(tmp_path / "pooled.csv")
+    run_experiment(small_config(n_list=n_list, trials=trials), serial)
+    assert _SerialPool.sizes == []
+    run_experiment(small_config(n_list=n_list, trials=trials, workers=workers), pooled)
+    assert _SerialPool.sizes == ([] if size is None else [size])
+    assert open(serial, "rb").read() == open(pooled, "rb").read()
 
 
 class TestSummaries:

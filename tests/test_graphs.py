@@ -61,6 +61,16 @@ class TestBuildGraph:
         assert g.edges == ((0, 2), (1, 3))
 
 
+# every public entry point that takes a vertex count
+_TAKE_N = {
+    "build_graph": lambda n: build_graph(n, []),
+    "GnpParams": lambda n: GnpParams(n=n, c=1.0, seed=1),
+    "complete_graph": complete_graph,
+    "cycle_graph": cycle_graph,
+    "path_graph": path_graph,
+}
+
+
 class TestConstructors:
     def test_complete(self):
         g = complete_graph(4)
@@ -79,6 +89,16 @@ class TestConstructors:
     def test_cycle_too_small(self):
         with pytest.raises(GonalityError):
             cycle_graph(2)
+
+    @pytest.mark.parametrize("make", _TAKE_N.values(), ids=_TAKE_N.keys())
+    @pytest.mark.parametrize("n", [2.5, 4.0, "4", None])
+    def test_non_integer_vertex_count(self, make, n):
+        with pytest.raises(GonalityError, match="integer vertex count"):
+            make(n)
+
+    @pytest.mark.parametrize("make", _TAKE_N.values(), ids=_TAKE_N.keys())
+    def test_numpy_vertex_count_is_stored_as_int(self, make):
+        assert type(make(np.int64(4)).n) is int
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_edge_counts(self, n):

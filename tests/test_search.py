@@ -10,19 +10,16 @@ from hypothesis import given, settings, strategies as st
 from gonality import (
     BudgetExceededError,
     CertificateError,
-    DisconnectedGraphError,
     Divisor,
     GonalityError,
     NotIndependentError,
     apply_firing,
     build_graph,
     certify_independence_bound,
-    clifford_index,
     complement_divisor,
     complete_graph,
     cycle_graph,
     egg_cuts_reach,
-    genus,
     gonality,
     has_positive_rank,
     maximum_independent_set,
@@ -34,14 +31,12 @@ from gonality import (
 )
 from gonality import search
 from gonality.divisors import _dhar_unburnt, _positive_rank_scripts
-from gonality.search import _reduced_candidates
 
 from oracles import (
     brute_alpha,
     brute_egg_cut,
     brute_gonality,
     brute_positive_rank,
-    brute_rank,
     connected_atlas,
     draw_connected_graph,
     random_connected_graph,
@@ -133,7 +128,7 @@ class TestGonalityResult:
             result = gonality(g)
             winners = [
                 chips
-                for chips in _reduced_candidates(g, result.value)
+                for chips in _scalar_reduced_candidates(g, result.value)
                 if has_positive_rank(g, Divisor(chips))
             ]
             assert result.certificate.divisor.chips == min(winners)
@@ -278,7 +273,7 @@ class TestPositiveRankAgainstBaseZero:
         for _ in range(24):
             g = random_connected_graph(rnd, rnd.randint(2, 8), rnd.choice((0.3, 0.5, 0.8)))
             for deg in range(1, g.n + 1):
-                for chips in _reduced_candidates(g, deg):
+                for chips in _scalar_reduced_candidates(g, deg):
                     d = Divisor(chips)
                     assert has_positive_rank(g, d) == self.base_zero_reference(g, d)
                     checked += 1
@@ -289,7 +284,7 @@ class TestPositiveRankAgainstBaseZero:
         for _ in range(8):
             g = random_connected_graph(rnd, rnd.randint(2, 5), 0.6)
             for deg in range(1, g.n + 1):
-                for chips in _reduced_candidates(g, deg):
+                for chips in _scalar_reduced_candidates(g, deg):
                     expected = brute_positive_rank(g, chips)
                     assert has_positive_rank(g, Divisor(chips)) == expected
 
@@ -368,7 +363,8 @@ def _scalar_outcomes(g, d, budget):
 
 def _batched_outcomes(g, d, budget):
     return (_outcome(lambda: search._scan_degree(g, d, budget)),
-            _outcome(lambda: list(_reduced_candidates(g, d, budget))))
+            _outcome(lambda: [tuple(r) for c in search._candidate_chunks(g, d, budget)
+                              for r in c[search._burns_everything(g, c, 0)].tolist()]))
 
 
 def _oracle_corpus():
@@ -532,55 +528,6 @@ class TestIndependenceCertificate:
             assert cert.divisor.degree == g.n - mis.alpha
 
 
-class TestCliffordIndex:
-    def test_trees_have_none(self):
-        for n in range(1, 7):
-            assert clifford_index(path_graph(n)) is None
-
-    def test_genus_one_has_none(self):
-        assert clifford_index(cycle_graph(5)) is None
-
-    def test_k4_no_qualifying_class(self):
-        # K4 gonality is 3 but 2g - 3 = 3 leaves no room for the residual
-        # condition, so the index is empty
-        assert clifford_index(complete_graph(4)) is None
-
-    def test_k5_value(self):
-        # witness (5,0,0,0,0) has brute-verifiable rank 2, beating every
-        # rank-1 class: 5 - 2*2 = 1
-        result = clifford_index(complete_graph(5))
-        assert result.value == 1
-        assert brute_rank(complete_graph(5), result.witness.chips) == result.witness_rank
-        assert result.value == result.witness.degree - 2 * result.witness_rank
-
-    def test_rank_one_minimum_matches_gonality_gap(self):
-        # when the minimum is attained by a rank-1 divisor the index equals
-        # gonality - 2; K_{2,4} is such a graph
-        g = build_graph(6, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5)])
-        result = clifford_index(g)
-        assert result is not None and result.witness_rank == 1
-        assert result.value == gonality(g).value - 2
-
-    def test_witness_conditions_hold(self):
-        from gonality import canonical_divisor, rank
-
-        for g in [complete_graph(5), cycle_graph(4)]:
-            result = clifford_index(g)
-            if result is None:
-                continue
-            k = canonical_divisor(g)
-            assert rank(g, result.witness) == result.witness_rank >= 1
-            assert rank(g, k - result.witness) >= 1
-
-    def test_budget_guard(self):
-        with pytest.raises(BudgetExceededError):
-            clifford_index(complete_graph(6), budget=3)
-
-    def test_rejects_disconnected(self):
-        with pytest.raises(DisconnectedGraphError):
-            clifford_index(build_graph(4, [(0, 1), (2, 3)]))
-
-
 class TestAcceleratorChecks:
     """The accelerators are checked on every path, before the split into
     components, and the scan runs over ``[floor, n - |I|)``."""
@@ -640,15 +587,3 @@ def test_gonality_rejects_empty_graph():
     with pytest.raises(GonalityError):
         gonality(build_graph(0, []))
 
-
-def test_observed_clifford_gaps_stay_in_curve_range():
-    # the algebraic-curve gap is always -2 or -3; for graphs the question
-    # is open, so this only records what the small corpus shows
-    gaps = set()
-    for g in connected_atlas(5):
-        if g.n < 2:
-            continue
-        result = clifford_index(g)
-        if result is not None:
-            gaps.add(result.value - gonality(g).value)
-    assert gaps <= {-2, -3}
