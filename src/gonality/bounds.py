@@ -62,7 +62,9 @@ class IndependentSet:
 class MISResult:
     """Search outcome; ``exact`` is False when the node budget ran out and
     the set is only a certified lower bound for alpha.  ``nodes_pruned``
-    counts the explored nodes that the clique-cover bound cut."""
+    counts the explored nodes that branch on nothing, because their pool
+    splits into too few cliques for any vertex's class to beat the
+    incumbent."""
 
     independent: IndependentSet
     exact: bool
@@ -211,37 +213,41 @@ def egg_cuts_reach(graph: Graph, k: int) -> bool:
 
 
 def maximum_independent_set(graph: Graph, budget: Optional[int] = None) -> MISResult:
-    """Exact maximum independent set by branch and bound.
+    """Exact maximum independent set by colour-ordered branch and bound:
+    Tomita and Seki's MCQ (DMTCS 2003) on the complement, in the bitset
+    form of San Segundo et al. (Computers & OR 2011).
 
-    Branches on a vertex of maximum degree within the remaining pool
-    (include it and drop its closed neighborhood, or exclude it), primed
-    with a greedy incumbent and pruned with a greedy clique-cover bound.
-    A node ``budget`` turns exhaustion into a flagged lower bound instead of
-    an error.
+    Each node splits its pool greedily into cliques of the graph, the
+    colour classes of the complement, so a vertex of class k heads a
+    subtree that adds at most k vertices.  It branches on its vertices
+    from the last class back, each child taking u and dropping u's closed
+    neighborhood and the vertices branched on before it, until ``size + k``
+    cannot beat the incumbent, which a greedy set primes.  A node
+    ``budget`` turns exhaustion into a flagged lower bound instead of an
+    error.
 
-    The search runs on relabelled bitsets: label r is the r-th vertex in
-    descending-degree order (ties by vertex), so each clique-cover seed and
-    each clique member is the lowest set bit of its mask.  Branching-vertex
-    ties still break by the original vertex label.  An explicit stack
-    replaces recursion and pops the include child first, so deep searches on
-    large sparse graphs cannot exhaust Python's recursion limit.
+    Label r is the r-th vertex by ascending degree (ties by vertex), which
+    is descending degree in the complement, as MCQ prescribes.  An explicit
+    stack with one frame per level replaces recursion, so deep searches
+    cannot exhaust Python's recursion limit.  A frame makes its next child
+    only when the search returns to it, so the stack holds one pool per
+    level, not one per pending child.
     """
     n = graph.n
     if n == 0:
         return MISResult(IndependentSet(frozenset()), True, 0)
 
     deg = graph.degrees
-    order = sorted(range(n), key=lambda v: (-deg[v], v))
+    order = sorted(range(n), key=lambda v: (deg[v], v))
     label = [0] * n
     for r, v in enumerate(order):
         label[v] = r
     adj = [sum(1 << label[w] for w in graph.adjacency[v]) for v in order]
 
-    # greedy incumbent: take vertices in ascending degree, skip conflicts
+    # greedy incumbent: take vertices in label order, skip conflicts
     best = 0
     blocked = 0
-    for v in sorted(range(n), key=lambda u: (deg[u], u)):
-        r = label[v]
+    for r in range(n):
         b = 1 << r
         if not (blocked & b):
             best |= b
@@ -250,9 +256,12 @@ def maximum_independent_set(graph: Graph, budget: Optional[int] = None) -> MISRe
 
     nodes = pruned = 0
     truncated = False
-    stack = [((1 << n) - 1, 0, 0)]
-    while stack:
-        pool, picked, size = stack.pop()
+    # a frame is a node still branching: its pool less the vertices branched
+    # on so far, and the (vertex, class) pairs left, the last class at the end
+    stack = []
+    node = ((1 << n) - 1, 0, 0)
+    while node:
+        pool, picked, size = node
         nodes += 1
         if budget is not None and nodes > budget:
             truncated = True
@@ -260,35 +269,40 @@ def maximum_independent_set(graph: Graph, budget: Optional[int] = None) -> MISRe
         if not pool:
             if size > best_size:
                 best, best_size = picked, size
-            continue
-        # greedy clique cover; stop counting once it can no longer prune
-        slack = best_size - size
-        rem = pool
-        k = 0
-        while rem and k <= slack:
-            k += 1
-            low = rem & -rem
-            rem ^= low
-            inter = adj[low.bit_length() - 1] & rem
-            while inter:
-                low = inter & -inter
-                rem ^= low
-                inter &= adj[low.bit_length() - 1]
-        if k <= slack:
-            pruned += 1
-            continue
-        v, vdeg = -1, -1
-        m = pool
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            d = (adj[u] & pool).bit_count()
-            if d > vdeg or (d == vdeg and order[u] < order[v]):
-                v, vdeg = u, d
-            m ^= low
-        b = 1 << v
-        stack.append((pool & ~b, picked, size))
-        stack.append((pool & ~(adj[v] | b), picked | b, size + 1))
+        else:
+            # split the pool into cliques in label order; only the vertices
+            # of class k > floor could lead to a larger set
+            floor = best_size - size
+            branch = []
+            rem = pool
+            k = 0
+            while rem:
+                k += 1
+                inter = rem
+                while inter:
+                    low = inter & -inter
+                    rem ^= low
+                    u = low.bit_length() - 1
+                    inter &= adj[u]
+                    if k > floor:
+                        branch.append((u, k))
+            if branch:
+                stack.append([pool, picked, size, branch])
+            else:
+                pruned += 1
+        # next, the deepest frame's last vertex whose class can still beat
+        # the incumbent; a frame without one is done
+        node = None
+        while stack and not node:
+            frame = stack[-1]
+            pool, picked, size, branch = frame
+            if branch and size + branch[-1][1] > best_size:
+                u = branch.pop()[0]
+                b = 1 << u
+                frame[0] = pool ^ b
+                node = (pool & ~(adj[u] | b), picked | b, size + 1)
+            else:
+                stack.pop()
 
     vertices = frozenset(order[r] for r in range(n) if best >> r & 1)
     return MISResult(IndependentSet(vertices), not truncated, nodes, pruned)

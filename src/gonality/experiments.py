@@ -109,7 +109,7 @@ class ExperimentConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     """One row of the experiment CSV.
 

@@ -279,11 +279,17 @@ def serialize_graph(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the scan's n x n float32 adjacency matrix stays under 400 MB up to here
+_PARSE_MAX_N = 10_000
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format; inverse of :func:`serialize_graph`.
 
-    Accepts edges in any order and either endpoint order.  Raises
-    :class:`MalformedHeaderError`, :class:`EdgeCountError`, or the
+    Accepts edges in any order and either endpoint order.  A header
+    promising more than 10,000 vertices raises :class:`MalformedHeaderError`
+    before anything is built, since every later step allocates per vertex.
+    Raises :class:`MalformedHeaderError`, :class:`EdgeCountError`, or the
     :func:`build_graph` invariant errors.
     """
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
@@ -296,6 +302,8 @@ def parse_graph(text: str) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
         raise MalformedHeaderError(f"non-integer header {lines[0]!r}") from exc
+    if n > _PARSE_MAX_N:
+        raise MalformedHeaderError(f"header promises {n} vertices, above the limit {_PARSE_MAX_N}")
     if len(lines) - 1 != m:
         raise EdgeCountError(f"header promises {m} edges, found {len(lines) - 1}")
     edges = []

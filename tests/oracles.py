@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's reduction machinery:
 equivalence and rank are decided by enumerating firing scripts or by exact
 rational linear algebra on the Laplacian (rank and positive rank by the
 latter alone, so no script bound can make them under-report), independence
-numbers and edge cuts by subset enumeration, and small-graph corpora come from networkx.
+numbers and edge cuts by subset enumeration, larger independence numbers by
+the max-degree branch and bound the library used before colour ordering
+(``_reference_mis``), and small-graph corpora come from networkx.
 Keeping these paths separate is what makes agreement tests meaningful.
 """
 
@@ -18,7 +20,7 @@ from typing import Optional
 import networkx as nx
 from hypothesis import strategies as st
 
-from gonality import Graph, build_graph
+from gonality import Graph, IndependentSet, MISResult, build_graph
 
 
 def fire_script(graph: Graph, chips, script):
@@ -183,6 +185,79 @@ def brute_alpha(graph: Graph) -> int:
             if all(not (u in s and v in s) for u, v in graph.edges):
                 return size
     return best
+
+
+def _reference_mis(graph: Graph, budget: Optional[int] = None) -> MISResult:
+    """The recursive branch and bound on original labels, kept as an oracle
+    for the relabelled, stack-based library search; ``pruned`` is the only
+    addition."""
+    n = graph.n
+    adj = graph.adjacency_bits
+    if n == 0:
+        return MISResult(IndependentSet(frozenset()), True, 0)
+
+    by_desc_degree = sorted(range(n), key=lambda v: (-graph.degree(v), v))
+
+    # greedy incumbent: take vertices in ascending degree, skip conflicts
+    chosen = 0
+    blocked = 0
+    for v in sorted(range(n), key=lambda u: (graph.degree(u), u)):
+        b = 1 << v
+        if not (blocked & b):
+            chosen |= b
+            blocked |= b | adj[v]
+    best_mask = [chosen]
+    best_size = [chosen.bit_count()]
+    nodes = [0]
+    pruned = [0]
+    truncated = [False]
+
+    def cover_bound(pool: int) -> int:
+        rem = pool
+        k = 0
+        while rem:
+            k += 1
+            u = next(c for c in by_desc_degree if rem & (1 << c))
+            clique = 1 << u
+            inter = adj[u] & rem
+            while inter:
+                w = next(c for c in by_desc_degree if inter & (1 << c))
+                clique |= 1 << w
+                inter &= adj[w]
+            rem &= ~clique
+        return k
+
+    def bb(pool: int, picked: int, size: int) -> None:
+        nodes[0] += 1
+        if budget is not None and nodes[0] > budget:
+            truncated[0] = True
+            return
+        if not pool:
+            if size > best_size[0]:
+                best_size[0] = size
+                best_mask[0] = picked
+            return
+        if size + cover_bound(pool) <= best_size[0]:
+            pruned[0] += 1
+            return
+        v, vdeg = -1, -1
+        m = pool
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            d = (adj[u] & pool).bit_count()
+            if d > vdeg:
+                vdeg = d
+                v = u
+            m ^= low
+        b = 1 << v
+        bb(pool & ~(adj[v] | b), picked | b, size + 1)
+        if not truncated[0]:
+            bb(pool & ~b, picked, size)
+
+    bb((1 << n) - 1, 0, 0)
+    vertices = frozenset(v for v in range(n) if best_mask[0] & (1 << v))
+    return MISResult(IndependentSet(vertices), not truncated[0], nodes[0], pruned[0])
 
 
 def brute_max_clique_complement(graph: Graph) -> int:

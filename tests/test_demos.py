@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("name, expected", [
     ("01_chip_firing_basics.py", ()),
     ("02_gonality_and_certificates.py", ("certificate verifies: True", "(effective: True)")),
-    ("03_bounds_sandwich.py", ("branch and bound found 25 (exact, 47885 nodes)",)),
+    ("03_bounds_sandwich.py", ("branch and bound found 25 (exact, 4740 nodes)",)),
     ("04_random_graph_experiment.py", (
         "12,3.4641016151377544,40,0.4104166666666666,0.08520860107997139,",
         "12,10.8,40,0.8166666666666662,0.033757978902788886,",

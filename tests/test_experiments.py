@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import pickle
 
 import pytest
 
@@ -108,11 +109,17 @@ class TestRunTrial:
         assert row.gon_lb == row.tw_lb
 
     def test_budget_caps_both_searches(self):
-        for seed in range(3):
+        # one node settles alpha only where the root's cliques already prove
+        # the greedy set maximum, as they do at seed 2
+        for seed, settled in [(0, False), (1, False), (2, True)]:
             row = run_trial(10, 0.5, seed, "exact", budget=1)
-            assert not row.alpha_exact
+            full = run_trial(10, 0.5, seed, "exact")
+            assert row.alpha_exact == settled
+            assert row.alpha <= full.alpha
             assert row.gon_exact is None
-            assert run_trial(10, 0.5, seed, "exact").gon_exact is not None
+            assert full.gon_exact is not None
+            if settled:
+                assert row.alpha == full.alpha
 
     def test_deterministic(self):
         a = run_trial(9, 0.4, 77, "exact")
@@ -274,6 +281,15 @@ def test_header_is_exactly_the_contract():
 
 def test_header_follows_the_record_fields():
     assert CSV_HEADER.split(",") == [f.name for f in dataclasses.fields(TrialRecord)]
+
+
+def test_record_is_slotted_and_pickles():
+    # the process pool sends records back to the parent by pickle
+    record = run_trial(8, 0.5, 3, "exact", trial=1, record_timings=True)
+    assert not hasattr(record, "__dict__")
+    assert pickle.loads(pickle.dumps(record)) == record
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.alpha = 0
 
 
 def test_write_read_empty(tmp_path):

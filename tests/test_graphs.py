@@ -8,6 +8,7 @@ from gonality import (
     EdgeCountError,
     GnpParams,
     GonalityError,
+    Graph,
     MalformedHeaderError,
     SelfLoopError,
     VertexRangeError,
@@ -24,6 +25,7 @@ from gonality import (
     sample_gnp,
     serialize_graph,
 )
+from gonality import graphs
 
 from oracles import random_graph
 
@@ -214,6 +216,18 @@ class TestSerialization:
             parse_graph("3\n0 1")
         with pytest.raises(MalformedHeaderError):
             parse_graph("a b\n0 1")
+
+    @pytest.mark.parametrize("n", [10_001, 1_000_000_000])
+    def test_header_above_the_ceiling_builds_nothing(self, n, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("build_graph ran")
+
+        monkeypatch.setattr(graphs, "build_graph", refuse)
+        with pytest.raises(MalformedHeaderError, match=f"promises {n} vertices"):
+            parse_graph(f"{n} 0")
+
+    def test_header_at_the_ceiling_is_accepted(self):
+        assert parse_graph("10000 0") == Graph(10_000, ())
 
     def test_wrong_edge_count(self):
         with pytest.raises(EdgeCountError):
