@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import EdgeCountError, GonalityError, MalformedHeaderError, SizeLimitError
-from .graphs import Graph, build_graph, degeneracy, induced_subgraph
+from .graphs import Graph, _checked_int, build_graph, degeneracy, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,8 @@ def validate_tree_decomposition(graph: Graph, td: TreeDecomposition) -> Validati
     return ValidationReport(True, None, width)
 
 
-# The DP keeps two lists of 2^n entries: at n = 24 about 0.25 GiB and a
-# minute of CPU, and each further vertex doubles the memory
+# The DP's one list of 2^n widths takes 128 MiB at n = 24, but the ceiling
+# guards the minute of CPU there; each further vertex doubles both
 _TW_MAX_N = 24
 
 
@@ -118,14 +118,15 @@ def treewidth_exact(graph: Graph, size_limit: int = 16) -> tuple[int, TreeDecomp
 
     Dynamic programming over subsets of eliminated vertices: the width of
     the best elimination order with prefix S satisfies
-    ``f(S) = min_v max(f(S - v), backdegree(S - v, v))`` where the
-    back-degree counts neighbors of v's component within the prefix.  The
-    optimal order is then turned into bags by simulated elimination with
-    fill-in.  Refuses graphs above ``size_limit``, or above the fixed
-    ceiling ``_TW_MAX_N`` whatever the limit, before allocating anything.
+    ``f(S) = min_v max(f(S - v), |Q(S - v, v)|)`` where ``Q(S, v)`` is the
+    set of vertices outside ``S + v`` that v reaches through S.  The order
+    is read back from the table from the full set down, at each step the
+    least v that attains ``f(S)``, and made into bags by
+    :func:`_decomposition_from_order`.  Refuses graphs above ``size_limit``,
+    or above the ceiling ``_TW_MAX_N`` whatever the limit, before allocating.
     """
     n = graph.n
-    limit = min(size_limit, _TW_MAX_N)
+    limit = min(_checked_int(size_limit, "treewidth_exact", "size limit"), _TW_MAX_N)
     if n > limit:
         raise SizeLimitError(f"treewidth_exact limited to n <= {limit}, got {n}")
     if n == 0:
@@ -133,30 +134,28 @@ def treewidth_exact(graph: Graph, size_limit: int = 16) -> tuple[int, TreeDecomp
     adj = graph.adjacency_bits
     size = 1 << n
     f = [0] * size
-    choice = [0] * size
     for s in range(1, size):
-        best = n + 1
-        bestv = -1
+        best = n
         m = s
         while m:
             low = m & -m
-            v = low.bit_length() - 1
             t = s ^ low
             w = f[t]
             if w < best:
-                back = _back_degree(adj, t, v)
+                back = _reach_through(adj, t, low.bit_length() - 1).bit_count()
                 if back > w:
                     w = back
                 if w < best:
                     best = w
-                    bestv = v
             m ^= low
         f[s] = best
-        choice[s] = bestv
     order = []
     s = size - 1
     while s:
-        v = choice[s]
+        v = next((v for v in range(n) if s >> v & 1 and f[s ^ 1 << v] <= f[s]
+                  and _reach_through(adj, s ^ 1 << v, v).bit_count() <= f[s]), None)
+        if v is None:
+            raise GonalityError("no vertex attains the DP value; this is a bug")
         order.append(v)
         s ^= 1 << v
     order.reverse()
@@ -166,9 +165,7 @@ def treewidth_exact(graph: Graph, size_limit: int = 16) -> tuple[int, TreeDecomp
     return f[size - 1], td
 
 
-def treewidth_lower_bound(graph: Graph) -> int:
-    """Certified lower bound: the degeneracy (dominates minimum degree)."""
-    return degeneracy(graph)
+treewidth_lower_bound = degeneracy  # certified, and it dominates the minimum degree
 
 
 def egg_cuts_reach(graph: Graph, k: int) -> bool:
@@ -233,6 +230,7 @@ def maximum_independent_set(graph: Graph, budget: Optional[int] = None) -> MISRe
     only when the search returns to it, so the stack holds one pool per
     level, not one per pending child.
     """
+    budget = None if budget is None else _checked_int(budget, "maximum_independent_set", "budget")
     n = graph.n
     if n == 0:
         return MISResult(IndependentSet(frozenset()), True, 0)
@@ -370,8 +368,9 @@ def parse_tree_decomposition(text: str) -> TreeDecomposition:
 
 # -- internals ---------------------------------------------------------------
 
-def _back_degree(adj: tuple[int, ...], prefix: int, v: int) -> int:
-    """Neighbors outside the prefix of v's component within prefix + v."""
+def _reach_through(adj: tuple[int, ...], prefix: int, v: int) -> int:
+    """Q(prefix, v) as a bitmask: the vertices outside ``prefix + v`` that v
+    reaches through paths whose inner vertices all lie in ``prefix``."""
     comp = 1 << v
     nb = adj[v]
     while True:
@@ -383,7 +382,7 @@ def _back_degree(adj: tuple[int, ...], prefix: int, v: int) -> int:
             low = grow & -grow
             nb |= adj[low.bit_length() - 1]
             grow ^= low
-    return (nb & ~prefix & ~(1 << v)).bit_count()
+    return nb & ~prefix & ~(1 << v)
 
 
 def _disjoint_paths_reach(adj: tuple[int, ...], source: int, sink: int, k: int) -> bool:
@@ -423,34 +422,23 @@ def _disjoint_paths_reach(adj: tuple[int, ...], source: int, sink: int, k: int) 
 
 
 def _decomposition_from_order(graph: Graph, order: list[int]) -> TreeDecomposition:
-    """Bags from simulated elimination with fill-in along the given order."""
-    n = graph.n
-    adj = list(graph.adjacency_bits)
-    alive = (1 << n) - 1
+    """Bags along an elimination order: v's bag is v plus ``Q(before, v)``,
+    its neighbours in the filled graph that are eliminated after it (Rose,
+    Tarjan and Lueker), and its parent is the bag of the earliest of them."""
+    adj = graph.adjacency_bits
     position = {v: i for i, v in enumerate(order)}
-    bags = []
-    parents: list[Optional[int]] = []
+    bags, edges, roots = [], [], []
+    before = 0
     for i, v in enumerate(order):
-        nbrs = adj[v] & alive & ~(1 << v)
-        bag = {v}
-        parent: Optional[int] = None
-        best_pos = n + 1
-        m = nbrs
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            bag.add(u)
-            if position[u] < best_pos:
-                best_pos = position[u]
-                parent = position[u]
-            adj[u] |= nbrs & ~low
-            m ^= low
-        bags.append(frozenset(bag))
-        parents.append(parent)
-        alive ^= 1 << v
-    edges = [(i, p) for i, p in enumerate(parents) if p is not None]
-    roots = [i for i, p in enumerate(parents) if p is None]
+        q = _reach_through(adj, before, v)
+        later = [u for u in range(graph.n) if q >> u & 1]
+        bags.append(frozenset([v, *later]))
+        if later:
+            edges.append((i, min(position[u] for u in later)))
+        else:
+            roots.append(i)
+        before |= 1 << v
     # isolated-at-elimination bags start their own subtree; chain the roots
     # so the result is a single tree (safe: the linked bags share no vertex)
-    edges.extend((roots[j], roots[j + 1]) for j in range(len(roots) - 1))
+    edges.extend(zip(roots, roots[1:]))
     return TreeDecomposition(tuple(bags), tuple(edges))

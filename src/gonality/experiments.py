@@ -21,7 +21,7 @@ from typing import Optional
 
 from .bounds import _frieze_bracket, maximum_independent_set, treewidth_exact, treewidth_lower_bound
 from .errors import BudgetExceededError, GonalityError, SizeLimitError
-from .graphs import GnpParams, genus, sample_gnp
+from .graphs import GnpParams, _checked_int, genus, sample_gnp
 from .search import gonality
 
 _MASK64 = (1 << 64) - 1
@@ -91,11 +91,15 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_list", tuple(self.n_list))
+        n_list = tuple(_checked_int(n, "ExperimentConfig", "vertex count", 1) for n in self.n_list)
+        object.__setattr__(self, "n_list", n_list)
         if not self.n_list:
             raise GonalityError("n_list must not be empty")
-        if self.trials < 0:
-            raise GonalityError(f"trials must be nonnegative, got {self.trials}")
+        for name, least in (("trials", 0), ("seed", None), ("workers", None)):
+            value = _checked_int(getattr(self, name), "ExperimentConfig", name, least)
+            object.__setattr__(self, name, value)
+        if self.budget is not None:
+            object.__setattr__(self, "budget", _checked_int(self.budget, "ExperimentConfig", "budget"))
         if self.mode not in MODES:
             raise GonalityError(f"mode must be 'exact' or 'sandwich', got {self.mode!r}")
         for n in self.n_list:

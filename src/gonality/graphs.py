@@ -14,7 +14,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -125,15 +125,15 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _vertex_count(n, least: int, caller: str) -> int:
-    """``n`` as an ``int`` of at least ``least``, or a :class:`GonalityError`."""
+def _checked_int(value, caller: str, name: str, least: Optional[int] = None) -> int:
+    """``value`` as an ``int`` of at least ``least`` if given, else a :class:`GonalityError`."""
     try:
-        n = operator.index(n)
+        value = operator.index(value)
     except TypeError:
-        raise GonalityError(f"{caller} needs an integer vertex count, got {n!r}") from None
-    if n < least:
-        raise GonalityError(f"{caller} needs n >= {least}, got {n}")
-    return n
+        raise GonalityError(f"{caller} needs an integer {name}, got {value!r}") from None
+    if least is not None and value < least:
+        raise GonalityError(f"{caller} needs {name} >= {least}, got {value}")
+    return value
 
 
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
@@ -143,7 +143,7 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     that is not two integer endpoints, a self-loop, a duplicate unordered
     pair or an endpoint outside ``[0, n)``, each with its own exception type.
     """
-    n = _vertex_count(n, 0, "build_graph")
+    n = _checked_int(n, "build_graph", "vertex count", 0)
     seen: set[tuple[int, int]] = set()
     normalized: list[tuple[int, int]] = []
     for e in edges:
@@ -164,18 +164,18 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    n = _vertex_count(n, 1, "complete_graph")
+    n = _checked_int(n, "complete_graph", "vertex count", 1)
     return Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def cycle_graph(n: int) -> Graph:
-    n = _vertex_count(n, 3, "cycle_graph")
+    n = _checked_int(n, "cycle_graph", "vertex count", 3)
     edges = sorted(tuple(sorted((v, (v + 1) % n))) for v in range(n))
     return Graph(n, tuple(edges))
 
 
 def path_graph(n: int) -> Graph:
-    n = _vertex_count(n, 1, "path_graph")
+    n = _checked_int(n, "path_graph", "vertex count", 1)
     return Graph(n, tuple((v, v + 1) for v in range(n - 1)))
 
 
@@ -194,7 +194,8 @@ class GnpParams:
     p: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _vertex_count(self.n, 1, "GnpParams"))
+        object.__setattr__(self, "n", _checked_int(self.n, "GnpParams", "vertex count", 1))
+        object.__setattr__(self, "seed", _checked_int(self.seed, "GnpParams", "seed"))
         if not (0 <= self.seed < 2**64):
             raise GonalityError(f"seed must fit in 64 bits, got {self.seed}")
         p = self.c / self.n
@@ -207,6 +208,9 @@ class GnpParams:
         return cls(n=n, c=p * n, seed=seed)
 
 
+_DRAW_BLOCK = 1 << 16  # pairs sample_gnp draws at once: 64k floats, about 2 MiB
+
+
 def sample_gnp(params: GnpParams) -> Graph:
     """Sample an Erdos-Renyi G(n, p) graph, bit-reproducibly.
 
@@ -214,36 +218,36 @@ def sample_gnp(params: GnpParams) -> Graph:
     ``params.seed``.  One uniform real is drawn for each of the n(n-1)/2
     vertex pairs in lexicographic order; the pair becomes an edge when the
     draw is ``< p``.  Identical params therefore give identical graphs on
-    every platform.
+    every platform.  Blocks of ``_DRAW_BLOCK`` draws keep memory flat in n.
     """
     n = params.n
     rng = np.random.Generator(np.random.PCG64(params.seed))
-    draws = rng.random(n * (n - 1) // 2).tolist()
     pairs = itertools.combinations(range(n), 2)
-    return Graph(n, tuple(e for e, draw in zip(pairs, draws) if draw < params.p))
+    total = n * (n - 1) // 2
+    edges: list[tuple[int, int]] = []
+    for start in range(0, total, _DRAW_BLOCK):
+        draws = rng.random(min(_DRAW_BLOCK, total - start)).tolist()
+        # draws first: zip then stops without taking a pair past the block
+        edges.extend(e for draw, e in zip(draws, pairs) if draw < params.p)
+    return Graph(n, tuple(edges))
 
 
 def min_degree(graph: Graph) -> int:
-    if graph.n == 0:
-        return 0
-    return min(graph.degrees)
+    return min(graph.degrees, default=0)
 
 
 def degeneracy(graph: Graph) -> int:
     """Max over subgraphs of the minimum degree, by iterated peeling."""
-    if graph.n == 0:
-        return 0
     deg = list(graph.degrees)
     adj = graph.adjacency
-    removed = [False] * graph.n
+    alive = set(range(graph.n))
     best = 0
-    for _ in range(graph.n):
-        v = min((u for u in range(graph.n) if not removed[u]), key=deg.__getitem__)
+    while alive:
+        v = min(alive, key=deg.__getitem__)
         best = max(best, deg[v])
-        removed[v] = True
+        alive.remove(v)
         for w in adj[v]:
-            if not removed[w]:
-                deg[w] -= 1
+            deg[w] -= 1  # a peeled w's degree is never read again
     return best
 
 

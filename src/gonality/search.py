@@ -48,7 +48,7 @@ from .errors import (
     GonalityError,
     NotIndependentError,
 )
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, _checked_int, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -184,6 +184,8 @@ def gonality(
     single-vertex component contributes 0; no combined certificate is
     produced in either degenerate case.
     """
+    budget = None if budget is None else _checked_int(budget, "gonality", "budget")
+    lower_bound = _checked_int(lower_bound, "gonality", "lower bound")
     if graph.n == 0:
         raise GonalityError("gonality of the empty graph is undefined")
     independent = frozenset(independent_set or ())  # a repeated vertex counts once

@@ -7,20 +7,25 @@ latter alone, so no script bound can make them under-report), independence
 numbers and edge cuts by subset enumeration, larger independence numbers by
 the max-degree branch and bound the library used before colour ordering
 (``_reference_mis``), and small-graph corpora come from networkx.
+Elimination widths are found by explicit fill-in, and G(n, p) graphs by
+the one-shot sampler the library used before it drew in blocks
+(``reference_sample_gnp``).
 Keeping these paths separate is what makes agreement tests meaningful.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+import itertools
 from itertools import combinations, combinations_with_replacement, product
 from math import lcm
 import random
 from typing import Optional
 
 import networkx as nx
+import numpy as np
 from hypothesis import strategies as st
 
-from gonality import Graph, IndependentSet, MISResult, build_graph
+from gonality import GnpParams, Graph, IndependentSet, MISResult, build_graph
 
 
 def fire_script(graph: Graph, chips, script):
@@ -175,6 +180,30 @@ def brute_treewidth(graph: Graph) -> int:
             del adj[v]
         best = min(best, worst)
     return best
+
+
+def fill_in_width(graph: Graph, order) -> int:
+    """Width of an elimination order: the most later neighbours any vertex
+    has when it is eliminated, with explicit fill-in."""
+    adj = {v: set(graph.adjacency[v]) for v in range(graph.n)}
+    worst = -1
+    for v in order:
+        nbrs = adj.pop(v)
+        worst = max(worst, len(nbrs))
+        for u in nbrs:
+            adj[u].discard(v)
+            adj[u].update(nbrs - {u})
+    return worst
+
+
+def reference_sample_gnp(params: GnpParams) -> Graph:
+    """The sampler as it was before it drew in blocks: every pair's draw at
+    once, as one list of Python floats."""
+    n = params.n
+    rng = np.random.Generator(np.random.PCG64(params.seed))
+    draws = rng.random(n * (n - 1) // 2).tolist()
+    pairs = itertools.combinations(range(n), 2)
+    return Graph(n, tuple(e for e, draw in zip(pairs, draws) if draw < params.p))
 
 
 def brute_alpha(graph: Graph) -> int:

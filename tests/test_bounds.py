@@ -1,7 +1,9 @@
+import hashlib
 import inspect
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +47,7 @@ from oracles import (
     brute_treewidth,
     connected_atlas,
     draw_connected_graph,
+    fill_in_width,
     random_graph,
     _reference_mis,
 )
@@ -191,6 +194,57 @@ class TestTreewidthExact:
         assert validate_tree_decomposition(g, td)
 
 
+def _witness_corpus():
+    """The connected atlas up to n = 7, then seeded G(n, p) graphs with
+    n <= 12, the edgeless and disconnected ones included."""
+    graphs = connected_atlas(7)
+    rnd = random.Random(13)
+    for n in range(13):
+        for p in (0.0, 0.1, 0.3, 0.5, 0.9):
+            for _ in range(2):
+                graphs.append(random_graph(rnd, n, p))
+    return graphs
+
+
+class TestTreewidthWitness:
+    """One Q function builds the DP, the order read back from its table and
+    the bags, so the witnesses are pinned byte for byte."""
+
+    def test_witness_digest_is_pinned(self):
+        digest = hashlib.sha256()
+        for g in _witness_corpus():
+            digest.update(serialize_tree_decomposition(treewidth_exact(g)[1]).encode())
+        assert digest.hexdigest() == "b990b0ed1fd4157d0bee374044438517c516ffd7439d17f1e16520601c9e085d"
+
+    def test_dp_keeps_one_table(self):
+        # a 2^14 list of widths is 0.125 MiB; a second table would double it
+        g = path_graph(14)
+        g.adjacency_bits
+        tracemalloc.start()
+        try:
+            treewidth_exact(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.19 * 2**20
+
+    def test_any_order_gives_a_valid_decomposition(self):
+        rnd = random.Random(53)
+        for _ in range(150):
+            g = random_graph(rnd, rnd.randint(1, 10), rnd.choice((0.1, 0.3, 0.5, 0.9)))
+            order = list(range(g.n))
+            rnd.shuffle(order)
+            td = bounds._decomposition_from_order(g, order)
+            report = validate_tree_decomposition(g, td)
+            assert report, report.violation
+            before = 0
+            widths = []
+            for v in order:
+                widths.append(bounds._reach_through(g.adjacency_bits, before, v).bit_count())
+                before |= 1 << v
+            assert td.width == max(widths) == fill_in_width(g, order)
+
+
 class TestTreewidthLowerBound:
     def test_complete(self):
         for n in range(2, 8):
@@ -215,6 +269,9 @@ class TestTreewidthLowerBound:
     def test_equals_degeneracy(self):
         g = grid_graph(3, 4)
         assert treewidth_lower_bound(g) == degeneracy(g) == 2
+
+    def test_is_degeneracy(self):
+        assert treewidth_lower_bound is degeneracy
 
 
 class TestEggCuts:

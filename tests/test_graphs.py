@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from gonality import (
     DuplicateEdgeError,
     EdgeCountError,
+    ExperimentConfig,
     GnpParams,
     GonalityError,
     Graph,
@@ -18,16 +20,20 @@ from gonality import (
     cycle_graph,
     degeneracy,
     genus,
+    gonality,
     induced_subgraph,
+    maximum_independent_set,
     min_degree,
     parse_graph,
     path_graph,
+    run_experiment,
     sample_gnp,
     serialize_graph,
+    treewidth_exact,
 )
 from gonality import graphs
 
-from oracles import random_graph
+from oracles import random_graph, reference_sample_gnp
 
 
 class TestBuildGraph:
@@ -71,6 +77,49 @@ _TAKE_N = {
     "cycle_graph": cycle_graph,
     "path_graph": path_graph,
 }
+
+
+def _config(**overrides):
+    base = dict(n_list=(6,), c_spec="2", trials=1, seed=1)
+    return ExperimentConfig(**{**base, **overrides})
+
+
+# every public integer parameter outside the vertex counts, and whether
+# None is its default "no limit"
+_TAKE_INT = {
+    "gonality budget": (lambda x: gonality(path_graph(4), budget=x), True),
+    "gonality lower_bound": (lambda x: gonality(path_graph(4), lower_bound=x), False),
+    "mis budget": (lambda x: maximum_independent_set(path_graph(4), budget=x), True),
+    "treewidth size_limit": (lambda x: treewidth_exact(path_graph(4), x), False),
+    "GnpParams seed": (lambda x: GnpParams(10, 3.0, x), False),
+    "config trials": (lambda x: run_experiment(_config(trials=x)), False),
+    "config seed": (lambda x: run_experiment(_config(seed=x)), False),
+    "config budget": (lambda x: run_experiment(_config(budget=x)), True),
+    "config workers": (lambda x: run_experiment(_config(workers=x)), False),
+    "config n_list": (lambda x: run_experiment(_config(n_list=(x,))), False),
+}
+
+
+@pytest.mark.parametrize("entry, value", [
+    pytest.param(entry, value, id=f"{entry}-{value!r}")
+    for entry, (_, optional) in _TAKE_INT.items()
+    for value in (2.5, "3", None)
+    if value is not None or not optional
+])
+def test_non_integer_parameter_is_a_domain_error(entry, value):
+    with pytest.raises(GonalityError, match="needs an integer"):
+        _TAKE_INT[entry][0](value)
+
+
+def test_numpy_integer_parameters_are_stored_as_int():
+    assert type(GnpParams(10, 3.0, np.uint64(5)).seed) is int
+    config = _config(trials=np.int64(2), seed=np.int32(4), budget=np.int64(9),
+                     workers=np.int8(1), n_list=(np.int16(6),))
+    assert all(type(v) is int for v in (config.trials, config.seed, config.budget,
+                                       config.workers, *config.n_list))
+    assert gonality(path_graph(4), budget=np.int64(50), lower_bound=np.int64(1)).value == 1
+    assert maximum_independent_set(path_graph(4), budget=np.int64(50)).alpha == 2
+    assert treewidth_exact(path_graph(4), np.int64(4))[0] == 1
 
 
 class TestConstructors:
@@ -139,6 +188,24 @@ class TestGnp:
             GnpParams(10, 1.0, -5)
         with pytest.raises(GonalityError):
             GnpParams(10, 1.0, 1 << 64)
+
+    @pytest.mark.parametrize("n", [2, 7, 9, 60, 362, 363, 400, 1000])
+    def test_blocks_draw_the_one_shot_stream(self, n):
+        # from n = 363 the pairs span more than one block of draws
+        for c in (0.5, min(3.0, n / 2), 0.9 * n):
+            for seed in (0, 2**64 - 1):
+                params = GnpParams(n, c, seed)
+                assert sample_gnp(params) == reference_sample_gnp(params)
+
+    def test_memory_stays_flat_in_n(self):
+        params = GnpParams(3000, 3.0, 1)
+        tracemalloc.start()
+        try:
+            sample_gnp(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_mean_edge_count_matches_binomial(self):
         # binomial mean p * n(n-1)/2 = 0.05 * 4950 = 247.5
