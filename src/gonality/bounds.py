@@ -126,7 +126,7 @@ def treewidth_exact(graph: Graph, size_limit: int = 16) -> tuple[int, TreeDecomp
     or above the ceiling ``_TW_MAX_N`` whatever the limit, before allocating.
     """
     n = graph.n
-    limit = min(_checked_int(size_limit, "treewidth_exact", "size limit"), _TW_MAX_N)
+    limit = min(_checked_int(size_limit, "treewidth_exact", "size limit", 0), _TW_MAX_N)
     if n > limit:
         raise SizeLimitError(f"treewidth_exact limited to n <= {limit}, got {n}")
     if n == 0:
@@ -230,7 +230,7 @@ def maximum_independent_set(graph: Graph, budget: Optional[int] = None) -> MISRe
     only when the search returns to it, so the stack holds one pool per
     level, not one per pending child.
     """
-    budget = None if budget is None else _checked_int(budget, "maximum_independent_set", "budget")
+    budget = None if budget is None else _checked_int(budget, "maximum_independent_set", "budget", 0)
     n = graph.n
     if n == 0:
         return MISResult(IndependentSet(frozenset()), True, 0)

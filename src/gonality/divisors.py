@@ -250,35 +250,6 @@ def _bfs_layers(graph: Graph, q: int) -> tuple[list[list[int]], list[int], list[
     return result
 
 
-def _dhar_unburnt(graph: Graph, chips: list[int], q: int) -> list[tuple[int, int]]:
-    """Dhar's burning test from q.
-
-    A vertex burns once its burnt neighbors outnumber its chips.  Returns
-    ``(v, burnt_neighbor_count)`` for each unburnt vertex; the count doubles
-    as v's out-degree across the unburnt set's boundary.  Empty result means
-    the whole graph burnt, i.e. the divisor is q-reduced (given chips are
-    nonnegative away from q).  It stays beside the batched
-    ``search._burns_everything``: run as a 1-row burn in
-    :func:`_reduce_chips`, that kernel made the ``divisor_queries``
-    benchmark about three times slower, as each small burn pays numpy's
-    fixed per-call cost.
-    """
-    adj = graph.adjacency
-    burnt_nbrs = [0] * graph.n
-    burnt = bytearray(graph.n)
-    burnt[q] = 1
-    stack = [q]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not burnt[w]:
-                burnt_nbrs[w] += 1
-                if burnt_nbrs[w] > chips[w]:
-                    burnt[w] = 1
-                    stack.append(w)
-    return [(v, burnt_nbrs[v]) for v in range(graph.n) if not burnt[v]]
-
-
 def _reduce_chips(graph: Graph, chips: list[int], q: int, script: Optional[list[int]] = None) -> list[int]:
     """Reduce ``chips`` to q-reduced form in place and return it.
 
@@ -286,9 +257,16 @@ def _reduce_chips(graph: Graph, chips: list[int], q: int, script: Optional[list[
     outward layer by layer from the farthest layer inward.  If it ran, and
     left some vertex far above its valence, :func:`_jump` fires most of the
     way to the reduced form in one linear solve.  Phase 2 runs Dhar's
-    burning repeatedly, firing the unburnt set as many times as its chips
-    allow, until the whole graph burns.  The jump changes neither the
-    result nor the script, only how many Dhar rounds it takes.  Raises
+    burning repeatedly, firing the unburnt set U as many times as its chips
+    allow, until the whole graph burns.  Firing U by t moves chips across
+    the cut only, so a round fires the burnt side by -t instead: it costs
+    the burnt side's volume plus the cut, not n plus U's volume, and the
+    script adds the rounds' total t to every entry once at the end.  The
+    jump changes neither the result nor the script, only how many Dhar
+    rounds it takes.  The burn stays scalar beside the batched
+    ``search._burns_everything``: run as a 1-row numpy burn, that kernel
+    made the ``divisor_queries`` benchmark about three times slower, as each
+    small burn pays numpy's fixed per-call cost.  Raises
     :class:`DisconnectedGraphError` unless the graph is connected.
     """
     _require_connected(graph)
@@ -323,21 +301,40 @@ def _reduce_chips(graph: Graph, chips: list[int], q: int, script: Optional[list[
                         script[w] += t
         _jump(graph, chips, q, script)
 
-    # phase 2: Dhar iterations; fire the unburnt set maximally each round.
+    # phase 2: Dhar rounds.  A burn from q lists the burnt side B in order
+    # and the vertices it touched; those left unburnt are U's side of the cut.
+    total = 0
     while True:
-        unburnt = _dhar_unburnt(graph, chips, q)
-        if not unburnt:
+        burnt_nbrs = [0] * n
+        burnt = bytearray(n)
+        burnt[q] = 1
+        order = [q]
+        touched = []
+        for u in order:
+            for w in adj[u]:
+                if not burnt[w]:
+                    if not burnt_nbrs[w]:
+                        touched.append(w)
+                    burnt_nbrs[w] += 1
+                    if burnt_nbrs[w] > chips[w]:
+                        burnt[w] = 1
+                        order.append(w)
+        if len(order) == n:
+            if total:
+                for v in range(n):
+                    script[v] += total
             return chips
-        t = min(chips[v] // bn for v, bn in unburnt if bn > 0)
-        unburnt_set = {v for v, _ in unburnt}
-        for v, bn in unburnt:
-            chips[v] -= t * bn
-            for w in adj[v]:
-                if w not in unburnt_set:
-                    chips[w] += t
+        cut = [w for w in touched if not burnt[w]]
+        t = min(chips[w] // burnt_nbrs[w] for w in cut)
+        for w in cut:
+            chips[w] -= t * burnt_nbrs[w]
+            for u in adj[w]:
+                if burnt[u]:
+                    chips[u] += t
         if script is not None:
-            for v in unburnt_set:
-                script[v] += t
+            for u in order:
+                script[u] -= t
+            total += t
 
 
 _JUMP_FACTOR = 8  # jump once some v != q holds this many times val(v) chips

@@ -99,7 +99,7 @@ class ExperimentConfig:
             value = _checked_int(getattr(self, name), "ExperimentConfig", name, least)
             object.__setattr__(self, name, value)
         if self.budget is not None:
-            object.__setattr__(self, "budget", _checked_int(self.budget, "ExperimentConfig", "budget"))
+            object.__setattr__(self, "budget", _checked_int(self.budget, "ExperimentConfig", "budget", 0))
         if self.mode not in MODES:
             raise GonalityError(f"mode must be 'exact' or 'sandwich', got {self.mode!r}")
         for n in self.n_list:

@@ -159,7 +159,7 @@ def gonality(
 ) -> GonalityResult:
     """Exact gonality with certificate.
 
-    ``budget`` caps the number of candidate divisors enumerated per degree;
+    ``budget`` caps the candidate divisors enumerated per degree (0 or more);
     exceeding it raises :class:`BudgetExceededError` (never a wrong answer).
 
     ``lower_bound`` and ``independent_set`` are optional accelerators for
@@ -184,7 +184,7 @@ def gonality(
     single-vertex component contributes 0; no combined certificate is
     produced in either degenerate case.
     """
-    budget = None if budget is None else _checked_int(budget, "gonality", "budget")
+    budget = None if budget is None else _checked_int(budget, "gonality", "budget", 0)
     lower_bound = _checked_int(lower_bound, "gonality", "lower bound")
     if graph.n == 0:
         raise GonalityError("gonality of the empty graph is undefined")

@@ -10,6 +10,9 @@ the max-degree branch and bound the library used before colour ordering
 Elimination widths are found by explicit fill-in, and G(n, p) graphs by
 the one-shot sampler the library used before it drew in blocks
 (``reference_sample_gnp``).
+q-reduction is decided by burning to a fixed point, and reduced by the
+Dhar rounds the library ran before its rounds fired only the cut
+(``reference_reduce``).
 Keeping these paths separate is what makes agreement tests meaningful.
 """
 
@@ -98,6 +101,67 @@ def _pinned_laplacian_inverse(graph: Graph):
                 inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
     den = lcm(1, *(x.denominator for row in inv for x in row))
     return tuple(tuple(int(x * den) for x in row) for row in inv), den
+
+
+def _burnt(graph: Graph, chips, q: int) -> set:
+    """Dhar's burn from q, to a fixed point: a vertex catches fire once its
+    burnt neighbours outnumber its chips.  Whenever a vertex catches, each
+    neighbour's burnt count is taken afresh, until no vertex catches."""
+    adj = graph.adjacency
+    burnt = {q}
+    fire = [q]
+    for u in fire:
+        for w in adj[u]:
+            if w not in burnt and sum(x in burnt for x in adj[w]) > chips[w]:
+                burnt.add(w)
+                fire.append(w)
+    return burnt
+
+
+def is_q_reduced(graph: Graph, chips, q: int) -> bool:
+    """Whether ``chips`` is q-reduced by definition: no debt away from q, and
+    a fire started at q burns every vertex."""
+    return min(chips[:q] + chips[q + 1:], default=0) >= 0 and len(_burnt(graph, chips, q)) == graph.n
+
+
+def reference_reduce(graph: Graph, chips, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(chips, script)`` q-reduced with neither the jump nor cut-only rounds.
+
+    Debt away from q is cleared by firing the ball of vertices nearer to q
+    than a layer, once at a time, farthest layer first, until that layer is
+    debt-free.  Then come the Dhar rounds of the library before its rounds
+    fired only the cut: each fires the whole unburnt set as many times as
+    its chips allow.
+    """
+    n = graph.n
+    adj = graph.adjacency
+    chips, script = list(chips), [0] * n
+    dist = [None] * n
+    dist[q] = 0
+    queue = [q]
+    for u in queue:
+        for w in adj[u]:
+            if dist[w] is None:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    for layer in range(max(dist), 0, -1):
+        ball = [int(d < layer) for d in dist]
+        while any(c < 0 for c, d in zip(chips, dist) if d == layer):
+            chips = list(fire_script(graph, chips, ball))
+            script = [s + b for s, b in zip(script, ball)]
+    while True:
+        burnt = _burnt(graph, chips, q)
+        unburnt = {v: sum(u in burnt for u in adj[v]) for v in range(n) if v not in burnt}
+        if not unburnt:
+            return tuple(chips), tuple(script)
+        t = min(chips[v] // bn for v, bn in unburnt.items() if bn > 0)
+        for v, bn in unburnt.items():
+            chips[v] -= t * bn
+            for w in adj[v]:
+                if w not in unburnt:
+                    chips[w] += t
+        for v in unburnt:
+            script[v] += t
 
 
 def effective_divisors(n: int, degree: int):

@@ -56,6 +56,10 @@ class TestGonalityCommand:
     def test_budget_exit_code(self, k4_file):
         assert main(["gonality", k4_file, "--budget", "1"]) == 2
 
+    @pytest.mark.parametrize("budget, code", [("-1", 1), ("0", 2)])
+    def test_negative_budget_is_a_usage_error(self, k4_file, budget, code):
+        assert main(["gonality", k4_file, "--budget", budget]) == code
+
     def test_missing_file_is_domain_error(self):
         assert main(["gonality", "/nonexistent.edges"]) == 1
 

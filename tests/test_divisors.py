@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import inspect
 import random
 import sys
@@ -36,7 +37,7 @@ from gonality import (
     serialize_divisor,
 )
 from gonality import divisors
-from gonality.divisors import _dhar_unburnt, _rank_of_reduced
+from gonality.divisors import _rank_of_reduced
 
 from oracles import (
     brute_positive_rank,
@@ -46,7 +47,9 @@ from oracles import (
     equivalent_images,
     exact_equivalent,
     fire_script,
+    is_q_reduced,
     random_connected_graph,
+    reference_reduce,
 )
 
 
@@ -148,8 +151,7 @@ class TestQReduce:
             g = random_connected_graph(rnd, rnd.randint(2, 7), 0.5)
             q = rnd.randrange(g.n)
             red = q_reduce(g, random_divisor(rnd, g.n), q)
-            assert all(red.chips[v] >= 0 for v in range(g.n) if v != q)
-            assert not _dhar_unburnt(g, list(red.chips), q)
+            assert is_q_reduced(g, red.chips, q)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
     @given(st.data())
@@ -504,7 +506,39 @@ class TestJump:
         red, script = q_reduce_with_script(g, d, 0)
         assert jumps == [False]
         assert apply_firing(g, d, script) == red
-        assert min(red.chips[1:]) >= 0 and not _dhar_unburnt(g, list(red.chips), 0)
+        assert is_q_reduced(g, red.chips, 0)
+
+    def test_matches_the_whole_set_reference(self, jumps):
+        @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+        @given(st.data())
+        def check(data):
+            g = draw_connected_graph(data, 1, 8)
+            chips = data.draw(st.lists(st.integers(-12, 9), min_size=g.n, max_size=g.n))
+            rich = data.draw(st.integers(0, g.n - 1))
+            chips[rich] += divisors._JUMP_FACTOR * g.degree(rich) * data.draw(st.integers(0, 3))
+            for q in range(g.n):
+                red, script = q_reduce_with_script(g, Divisor(tuple(chips)), q)
+                assert (red.chips, script.fires) == reference_reduce(g, chips, q)
+
+        check()
+        assert sum(jumps) >= 10
+
+    def test_reductions_match_their_pinned_digest(self):
+        """sha256 over ``(chips, script)`` of 300 seeded reductions on
+        connected graphs of 2 to 30 vertices, a third with jump-sized chips.
+        The digest is that of the reduction that fired the whole unburnt set
+        each round."""
+        rnd = random.Random(41)
+        h = hashlib.sha256()
+        for _ in range(300):
+            g = random_connected_graph(rnd, rnd.randint(2, 30), rnd.uniform(0.1, 0.5))
+            chips = [rnd.randint(-6, 9) for _ in range(g.n)]
+            if rnd.random() < 1 / 3:
+                v = rnd.randrange(g.n)
+                chips[v] += divisors._JUMP_FACTOR * g.degree(v) * rnd.randint(1, 4)
+            red, script = q_reduce_with_script(g, Divisor(tuple(chips)), rnd.randrange(g.n))
+            h.update(repr((red.chips, script.fires)).encode())
+        assert h.hexdigest() == "7f69d9abcb8294ca9a151d272a02c65091c483d3b532a8c9b36e001490b49cb4"
 
     def test_float_error_never_reaches_the_chips(self, jumps):
         # 2**52 chips on a 50-vertex path: the solve runs, but float64 cannot

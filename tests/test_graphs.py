@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gonality import (
+    BudgetExceededError,
     DuplicateEdgeError,
     EdgeCountError,
     ExperimentConfig,
@@ -13,6 +14,7 @@ from gonality import (
     Graph,
     MalformedHeaderError,
     SelfLoopError,
+    SizeLimitError,
     VertexRangeError,
     build_graph,
     complete_graph,
@@ -109,6 +111,21 @@ _TAKE_INT = {
 def test_non_integer_parameter_is_a_domain_error(entry, value):
     with pytest.raises(GonalityError, match="needs an integer"):
         _TAKE_INT[entry][0](value)
+
+
+@pytest.mark.parametrize("entry", ["gonality budget", "mis budget", "treewidth size_limit", "config budget"])
+def test_negative_budget_is_a_domain_error(entry):
+    with pytest.raises(GonalityError, match=r"needs .* >= 0, got -1"):
+        _TAKE_INT[entry][0](-1)
+
+
+def test_zero_budget_runs_out_instead():
+    with pytest.raises(BudgetExceededError):
+        gonality(cycle_graph(5), budget=0)
+    assert not maximum_independent_set(cycle_graph(5), budget=0).exact
+    with pytest.raises(SizeLimitError):
+        treewidth_exact(path_graph(4), 0)
+    assert _config(budget=0).budget == 0
 
 
 def test_numpy_integer_parameters_are_stored_as_int():

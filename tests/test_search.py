@@ -30,7 +30,7 @@ from gonality import (
     verify_certificate,
 )
 from gonality import search
-from gonality.divisors import _dhar_unburnt, _positive_rank_scripts
+from gonality.divisors import _positive_rank_scripts
 
 from oracles import (
     brute_alpha,
@@ -39,6 +39,7 @@ from oracles import (
     brute_positive_rank,
     connected_atlas,
     draw_connected_graph,
+    is_q_reduced,
     random_connected_graph,
 )
 
@@ -333,7 +334,7 @@ def _scalar_reduced_candidates(graph, d: int, budget: Optional[int] = None) -> I
                 f"degree-{d} scan exceeded budget of {budget} candidates"
             )
         chips = (rest[0] + 1, *rest[1:])
-        if not _dhar_unburnt(graph, list(chips), 0):
+        if is_q_reduced(graph, chips, 0):
             yield chips
 
 
