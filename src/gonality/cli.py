@@ -24,7 +24,7 @@ from .bounds import (
 from .divisors import parse_divisor, q_reduce, rank, serialize_divisor
 from .errors import BudgetExceededError, GonalityError
 from .experiments import MODES, ExperimentConfig, convergence_report, run_experiment
-from .graphs import GnpParams, min_degree, parse_graph, sample_gnp, serialize_graph
+from .graphs import GnpParams, _checked_int, min_degree, parse_graph, sample_gnp, serialize_graph
 from .search import gonality, parse_certificate, serialize_certificate, verify_certificate
 
 EXIT_OK = 0
@@ -83,15 +83,16 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    tw_limit = _checked_int(args.tw_limit, "bounds", "--tw-limit", 0)
     graph = _load_graph(args.graph)
     print(f"min_degree {min_degree(graph)}")
     print(f"tw_lb {treewidth_lower_bound(graph)}")
     td = None
-    if graph.n <= args.tw_limit:
-        tw, td = treewidth_exact(graph, args.tw_limit)
+    if graph.n <= tw_limit:
+        tw, td = treewidth_exact(graph, tw_limit)
         print(f"tw_exact {tw}")
     else:
-        print(f"tw_exact skipped: n > {args.tw_limit}")
+        print(f"tw_exact skipped: n > {tw_limit}")
     mis = maximum_independent_set(graph, args.budget)
     status = "exact" if mis.exact else "lower_bound_only"
     print(f"alpha {mis.alpha} {status}")

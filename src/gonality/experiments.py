@@ -95,7 +95,7 @@ class ExperimentConfig:
         object.__setattr__(self, "n_list", n_list)
         if not self.n_list:
             raise GonalityError("n_list must not be empty")
-        for name, least in (("trials", 0), ("seed", None), ("workers", None)):
+        for name, least in (("trials", 0), ("seed", None), ("workers", 1)):
             value = _checked_int(getattr(self, name), "ExperimentConfig", name, least)
             object.__setattr__(self, name, value)
         if self.budget is not None:

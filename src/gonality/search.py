@@ -6,10 +6,14 @@ q-reduced effective divisors with at least one chip on the base vertex.
 Every positive-rank class contains exactly one such representative, so the
 scan is complete and duplicate-free.
 
-The scan is batched.  A degree's candidate vectors are built in ascending
-lex order as numpy chunks of bounded size, and Dhar's burn runs on a whole
-chunk at once: the burn from the base keeps the q-reduced rows, and a burn
-from a chip-free vertex v that consumes the graph refutes a row.  The rows
+The scan is batched.  Each call first builds, once for every degree it
+may scan, the number of ways each run of trailing vertices can hold r
+chips and, where those ways fit in a chunk, the ways themselves as
+lex-ordered completion tables.  A degree's candidate vectors are then
+built in ascending lex order as numpy chunks of bounded size, most of
+them by one gather from the tables, and Dhar's burn runs on a whole chunk
+at once: the burn from the base keeps the q-reduced rows, and a burn from
+a chip-free vertex v that consumes the graph refutes a row.  The rows
 left go in lex order to the scalar positive-rank test, which decides them
 and supplies the witness scripts, so the first row it accepts is the
 lex-first hit.
@@ -216,9 +220,10 @@ def gonality(
         floor, closed_by = cap, "scramble"
 
     searched = []
+    scan = _Scan(graph, cap - 1, budget) if floor < cap else None
     for d in range(floor, cap):
         try:
-            hit = _scan_degree(graph, d, budget)
+            hit = _scan_degree(scan, d)
         except BudgetExceededError as exc:
             raise BudgetExceededError(str(exc), degrees_refuted=tuple(searched)) from None
         searched.append(d)
@@ -248,49 +253,90 @@ def _check_independent(graph: Graph, vertices) -> None:
 
 # Rows per candidate chunk: bounds the scan's memory at any n.
 _CHUNK_ROWS = 2048
+# The most slots a completion table spans: bounds the tables' memory at any n.
+_TABLE_SLOTS = 32
 
 
-def _candidate_chunks(graph: Graph, d: int, budget: Optional[int]) -> Iterator[np.ndarray]:
+def _blocks(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The indices ``start, ..., start + count - 1`` of each block, end to end."""
+    ends = counts.cumsum()
+    return np.arange(counts.sum()) - (ends - counts - starts).repeat(counts)
+
+
+class _Scan:
+    """The scan's state for one graph, built once for every degree up to
+    ``top``.
+
+    Slot 0 of a candidate holds up to ``top - 1`` chips before the +1 on
+    the base (at degree d all slots share d - 1, so this cap never binds),
+    and slot v up to ``val(v) - 1``, the most a q-reduced divisor holds
+    there.  ``room[i]`` is the most chips slots i.. can take, and
+    ``ways[i, r]`` the number of ways they take exactly r, capped above any
+    chunk.  Where that count fits in the largest chunk ``budget`` allows,
+    the completion table T(i, r) lists those ways in lex order, in the rows
+    of ``table`` from ``starts[i, r]``, for the last ``_TABLE_SLOTS`` slots.
+    A row of T(i, r) is a value c of slot i and a row of T(i + 1, r - c),
+    so the tables fill from the last slot back, one gather per slot.
+    """
+
+    def __init__(self, graph: Graph, top: int, budget: Optional[int]) -> None:
+        n = graph.n
+        self.graph, self.budget = graph, budget
+        most = _CHUNK_ROWS if budget is None else min(_CHUNK_ROWS, budget)  # rows in a chunk
+        self.caps = np.array([top - 1] + [graph.degree(v) - 1 for v in range(1, n)])
+        self.room = np.append(self.caps[::-1].cumsum()[::-1], 0)
+        self.ways = ways = np.zeros((n + 1, top), dtype=np.int64)
+        ways[n, 0] = 1
+        for i in range(n - 1, -1, -1):
+            conv = np.convolve(ways[i + 1], np.ones(self.caps[i] + 1, dtype=np.int64))[:top]
+            ways[i] = np.minimum(conv, _CHUNK_ROWS + 1)
+        # the narrowest signed type holding every entry, the slot-0 +1 included
+        self.dtype = np.min_scalar_type(-max(top, n) - 1)
+        self.tabled = first = max(0, n - _TABLE_SLOTS)  # the table's first column
+        slot, r = np.nonzero((ways[first:n] > 0) & (ways[first:n] <= most))
+        slot += first
+        counts = ways[slot, r]
+        self.starts = np.zeros_like(ways)
+        self.starts[slot, r] = counts.cumsum() - counts
+        values, width = self.values(r, slot)
+        slot, left = slot.repeat(width), r.repeat(width) - values
+        counts = ways[slot + 1, left]
+        values = values.repeat(counts)
+        below = _blocks(self.starts[slot + 1, left], counts)  # the row each continues with
+        ends = slot.repeat(counts).searchsorted(np.arange(first, n + 1)).tolist()
+        self.table = table = np.zeros((len(values), n - first), dtype=self.dtype)
+        for i in range(n - 1, first - 1, -1):
+            a, b = ends[i - first], ends[i + 1 - first]
+            if i < n - 1:  # the rows continued with are zero up to slot i
+                table[a:b] = table.take(below[a:b], axis=0)
+            table[a:b, i - first] = values[a:b]
+
+    def values(self, left: np.ndarray, i) -> tuple[np.ndarray, np.ndarray]:
+        """Per entry, every value slot i (one slot, or one per entry) can take
+        out of ``left`` chips with the later slots still completable, end to
+        end, and how many."""
+        low = np.maximum(0, left - self.room[i + 1])
+        width = np.minimum(self.caps[i], left) - low + 1
+        return _blocks(low, width), width
+
+
+def _candidate_chunks(scan: _Scan, d: int) -> Iterator[np.ndarray]:
     """Degree-d candidate chip vectors in ascending lex order, as int arrays
     of at most ``_CHUNK_ROWS`` rows.
 
-    Slot 0 holds 1 to d chips; slot v holds 0 to ``val(v) - 1``, the most a
-    q-reduced divisor can hold there.  Prefix blocks wait on a stack; each
-    step takes the longest run of a block's rows whose completions fit in
-    one chunk and grows them slot by slot to full vectors, or, when the
-    first row alone has too many, grows that row by one slot.  Every prefix
-    on the stack has a completion, so the stack is empty exactly when no
-    vectors are left.  ``budget`` caps the vectors emitted: no row past it
-    is built, and the error is raised only when a further vector exists.
+    Prefix blocks wait on a stack.  Each step takes the longest run of a
+    block's rows whose completions fit in one chunk and finishes them with
+    one gather from the completion tables, or, when the first row alone has
+    too many or its slot has no tables, grows the run by one slot.  Every
+    prefix on the stack has a completion, so the stack is empty exactly
+    when no vectors are left.  The scan's ``budget`` caps the vectors
+    emitted: no row past it is built, and the error is raised only when a
+    further vector exists.
     """
-    n = graph.n
-    if d < 1:
-        return
-    caps = [d - 1] + [graph.degree(v) - 1 for v in range(1, n)]
-    # room[i]: the most chips slots i.. can take; ways[i, r]: the number of
-    # ways slots i.. can take exactly r chips, capped above any chunk
-    room = np.cumsum(caps[::-1])[::-1].tolist() + [0]
-    ways = np.zeros((n + 1, d), dtype=np.int64)
-    ways[n, 0] = 1
-    for i in range(n - 1, -1, -1):
-        conv = np.convolve(ways[i + 1], np.ones(caps[i] + 1, dtype=np.int64))[:d]
-        ways[i] = np.minimum(conv, _CHUNK_ROWS + 1)
+    ways, budget = scan.ways, scan.budget
     if ways[0, d - 1] == 0:
         return
-
-    def grow(rows, left, i):
-        # every value slot i can take with the later slots still completable
-        low = np.maximum(0, left - room[i + 1])
-        width = np.minimum(caps[i], left) - low + 1
-        ends = width.cumsum()
-        values = np.arange(ends[-1]) - (ends - width - low).repeat(width)
-        rows = rows.repeat(width, axis=0)
-        rows[:, i] = values
-        return rows, left.repeat(width) - values
-
-    # the narrowest signed type holding every entry, the slot-0 +1 included
-    dtype = np.min_scalar_type(-max(d, n) - 1)
-    stack = [(np.zeros((1, n), dtype=dtype), np.array([d - 1], dtype=np.int64), 0)]
+    stack = [(np.zeros((1, scan.graph.n), dtype=scan.dtype), np.array([d - 1], dtype=np.int64), 0)]
     emitted = 0
     while stack:
         if budget is not None and emitted >= budget:
@@ -301,11 +347,15 @@ def _candidate_chunks(graph: Graph, d: int, budget: Optional[int]) -> Iterator[n
         if take < len(rows):
             stack.append((rows[take:], left[take:], i))
         rows, left = rows[:take], left[:take]
-        if ways[i, left[0]] > limit:
-            stack.append((*grow(rows, left, i), i + 1))
+        if i < scan.tabled or ways[i, left[0]] > limit:
+            values, width = scan.values(left, i)
+            rows = rows.repeat(width, axis=0)
+            rows[:, i] = values
+            stack.append((rows, left.repeat(width) - values, i + 1))
             continue
-        for j in range(i, n):
-            rows, left = grow(rows, left, j)
+        counts = ways[i, left]
+        rows = rows.repeat(counts, axis=0)
+        rows[:, i:] = scan.table.take(_blocks(scan.starts[i, left], counts), axis=0)[:, i - scan.tabled:]
         rows[:, 0] += 1
         emitted += len(rows)
         yield rows
@@ -333,8 +383,7 @@ def _burns_everything(graph: Graph, chips: np.ndarray, sources) -> np.ndarray:
         count = grown
 
 
-def _scan_degree(graph: Graph, d: int,
-                 budget: Optional[int]) -> Optional[tuple[tuple[int, ...], list[list[int]]]]:
+def _scan_degree(scan: _Scan, d: int) -> Optional[tuple[tuple[int, ...], list[list[int]]]]:
     """First positive-rank q-reduced divisor of degree d in lex order, with
     its witness scripts, if any.
 
@@ -343,7 +392,8 @@ def _scan_degree(graph: Graph, d: int,
     rows no such burn refutes go in order to the scalar test, which decides
     the rest and supplies the scripts.
     """
-    for rows in _candidate_chunks(graph, d, budget):
+    graph = scan.graph
+    for rows in _candidate_chunks(scan, d):
         rows = rows[_burns_everything(graph, rows, 0)]  # the q-reduced rows
         # burn each row from its first chip-free vertex, which refutes most
         # rows that fail, then the rows left from all their other ones, at

@@ -93,6 +93,15 @@ class TestBoundsCommand:
         assert main(["bounds", p5_file, "--tw-limit", "4"]) == 0
         assert "tw_exact skipped: n > 4" in capsys.readouterr().out
 
+    def test_negative_tw_limit_is_a_usage_error(self, p5_file, capsys):
+        assert main(["bounds", p5_file, "--tw-limit", "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "error: bounds needs --tw-limit >= 0, got -1" in err
+
+    def test_zero_tw_limit_skips(self, p5_file, capsys):
+        assert main(["bounds", p5_file, "--tw-limit", "0"]) == 0
+        assert "tw_exact skipped: n > 0" in capsys.readouterr().out
+
     def test_treewidth_ceiling_is_a_domain_error(self, tmp_path, capsys):
         path = tmp_path / "p64.edges"
         path.write_text(serialize_graph(path_graph(64)))
@@ -147,6 +156,12 @@ class TestExperimentCommand:
             "--trials", "2", "--seed", "1", "--out", out,
         ])
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_fewer_than_one_thread_is_a_usage_error(self, threads, capsys):
+        rc = main(["experiment", "--n", "5", "--c", "2", "--trials", "1", "--seed", "1", "--threads", threads])
+        assert rc == 1
+        assert f"needs workers >= 1, got {threads}" in capsys.readouterr().err
 
     def test_bad_n_list(self, capsys):
         rc = main(["experiment", "--n", "5;6", "--c", "2", "--trials", "1", "--seed", "1"])

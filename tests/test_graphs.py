@@ -119,6 +119,12 @@ def test_negative_budget_is_a_domain_error(entry):
         _TAKE_INT[entry][0](-1)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_fewer_than_one_worker_is_a_domain_error(workers):
+    with pytest.raises(GonalityError, match=rf"needs workers >= 1, got {workers}"):
+        _config(workers=workers)
+
+
 def test_zero_budget_runs_out_instead():
     with pytest.raises(BudgetExceededError):
         gonality(cycle_graph(5), budget=0)

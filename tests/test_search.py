@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 import tracemalloc
 from typing import Iterator, Optional
@@ -26,6 +27,7 @@ from gonality import (
     min_degree,
     path_graph,
     q_reduce,
+    serialize_certificate,
     treewidth_exact,
     verify_certificate,
 )
@@ -363,8 +365,9 @@ def _scalar_outcomes(g, d, budget):
 
 
 def _batched_outcomes(g, d, budget):
-    return (_outcome(lambda: search._scan_degree(g, d, budget)),
-            _outcome(lambda: [tuple(r) for c in search._candidate_chunks(g, d, budget)
+    scan = search._Scan(g, g.n, budget)
+    return (_outcome(lambda: search._scan_degree(scan, d)),
+            _outcome(lambda: [tuple(r) for c in search._candidate_chunks(scan, d)
                               for r in c[search._burns_everything(g, c, 0)].tolist()]))
 
 
@@ -404,11 +407,39 @@ class TestBatchedScanAgainstScalar:
         for _ in range(20):
             g = random_connected_graph(rnd, rnd.randint(2, 9), 0.6)
             for d in range(1, g.n + 1):
-                chunks = list(search._candidate_chunks(g, d, None))
+                chunks = list(search._candidate_chunks(search._Scan(g, g.n, None), d))
                 assert all(1 <= len(c) <= 7 for c in chunks)
                 rows = [tuple(r) for c in chunks for r in c.tolist()]
                 caps = [d - 1] + [g.degree(v) - 1 for v in range(1, g.n)]
                 assert rows == [(r[0] + 1, *r[1:]) for r in _assignments(caps, d - 1)]
+
+    @pytest.mark.parametrize("slots", [1, 3])
+    def test_tables_over_the_last_slots_only(self, slots, monkeypatch):
+        # blocks grow one slot at a time until they reach the tabled slots
+        monkeypatch.setattr(search, "_CHUNK_ROWS", 7)
+        monkeypatch.setattr(search, "_TABLE_SLOTS", slots)
+        for g in _oracle_corpus()[::4]:
+            for d in range(1, g.n + 1):
+                for budget in _ORACLE_BUDGETS:
+                    assert _batched_outcomes(g, d, budget) == _scalar_outcomes(g, d, budget), (g.edges, d, budget)
+
+    @pytest.mark.parametrize("chunk, budget", [(2048, None), (7, None), (2048, 5), (7, 0)])
+    def test_tables_hold_no_block_larger_than_a_chunk(self, chunk, budget, monkeypatch):
+        monkeypatch.setattr(search, "_CHUNK_ROWS", chunk)
+        rnd = random.Random(41)
+        for _ in range(20):
+            g = random_connected_graph(rnd, rnd.randint(2, 9), 0.6)
+            scan = search._Scan(g, g.n, budget)
+            caps = [g.n - 1] + [g.degree(v) - 1 for v in range(1, g.n)]
+            most, held = (chunk if budget is None else min(chunk, budget)), 0
+            for i in range(g.n):
+                for r in range(g.n):
+                    count = len(list(_assignments(caps[i:], r)))
+                    if 0 < count <= most:
+                        rows = scan.table[scan.starts[i, r]:scan.starts[i, r] + count, i:]
+                        assert [tuple(row) for row in rows.tolist()] == list(_assignments(caps[i:], r))
+                        held += count
+            assert held == len(scan.table)  # no other block, so none above a chunk
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
     @given(st.data())
@@ -429,6 +460,37 @@ class TestBatchedScanAgainstScalar:
             assert _batched_outcomes(g, d, budget) == _scalar_outcomes(g, d, budget)
         finally:
             search._CHUNK_ROWS = saved
+
+
+class TestScanOutcomesDigest:
+    def test_outcomes_match_their_pinned_digest(self):
+        """sha256 over 300 seeded connected graphs (n 2 to 12): each result
+        of the default call and of the call with exact treewidth and a
+        maximum independent set, and the outcome at every budget from 0 to
+        40, a result or the error's text and refuted degrees.  The digest
+        is that of the scan that grew each degree's candidates slot by slot
+        with no per-graph tables."""
+        def outcome(res):
+            cert = None if res.certificate is None else serialize_certificate(res.certificate)
+            return res.value, res.degrees_searched, res.refutation_floor, res.closed_by, cert
+
+        rnd = random.Random(44)
+        h = hashlib.sha256()
+        raised = 0
+        for _ in range(300):
+            g = random_connected_graph(rnd, rnd.randint(2, 12), rnd.choice((0.2, 0.4, 0.6, 0.9)))
+            h.update(repr(outcome(gonality(g))).encode())
+            mis = maximum_independent_set(g).independent.vertices
+            h.update(repr(outcome(gonality(g, lower_bound=treewidth_exact(g)[0], independent_set=mis))).encode())
+            for budget in range(41):
+                try:
+                    got = outcome(gonality(g, budget, with_certificate=False))
+                except BudgetExceededError as exc:
+                    raised += 1
+                    got = str(exc), exc.degrees_refuted
+                h.update(repr(got).encode())
+        assert raised > 5000
+        assert h.hexdigest() == "8262e7de65c66e9b5d32f5075df9f52e5bba315758bb682100ae3c83b4406c6c"
 
 
 class TestScanAllocation:
