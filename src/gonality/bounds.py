@@ -310,13 +310,14 @@ def frieze_alpha_estimate(n: int, c: float) -> float:
     """Typical independence number of G(n, c/n) for large sparse graphs:
     ``(2/p) (ln c - ln ln c - ln 2 + 1)`` with ``p = c/n``.
 
-    Requires ``c > e`` so the double logarithm is positive; smaller c is
-    outside the estimate's regime and rejected.
+    Requires a finite ``c > e`` so the double logarithm is positive and
+    finite; any other c, NaN included, is outside the estimate's regime and
+    rejected.
     """
     if n < 1:
         raise GonalityError(f"need n >= 1, got {n}")
-    if c <= math.e:
-        raise GonalityError(f"estimate needs c > e ~ 2.718, got {c}")
+    if not math.e < c < math.inf:
+        raise GonalityError(f"estimate needs a finite c > e ~ 2.718, got {c}")
     p = c / n
     return (2.0 / p) * _frieze_bracket(c)
 

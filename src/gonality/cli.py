@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from typing import Optional
 
 from . import __version__
@@ -23,7 +24,7 @@ from .bounds import (
 )
 from .divisors import parse_divisor, q_reduce, rank, serialize_divisor
 from .errors import BudgetExceededError, GonalityError
-from .experiments import MODES, ExperimentConfig, convergence_report, run_experiment
+from .experiments import MODES, ExperimentConfig, convergence_report, records_csv_text, run_experiment
 from .graphs import GnpParams, _checked_int, min_degree, parse_graph, sample_gnp, serialize_graph
 from .search import gonality, parse_certificate, serialize_certificate, verify_certificate
 
@@ -38,12 +39,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_DOMAIN, f"{self.prog}: error: {message}\n")
 
 
-def _load_graph(path: str):
+def _read_text(path: str, what: str) -> str:
+    """The file's text; one that cannot be read or decoded as UTF-8 is a domain error."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_graph(fh.read())
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GonalityError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _load_graph(path: str):
+    return parse_graph(_read_text(path, "graph file"))
+
+
+def _output(path: Optional[str]):
+    """The file at ``path`` (``None`` if no path), opened for writing before
+    the work that fills it, so that a path that cannot be written costs none."""
+    try:
+        return nullcontext() if path is None else open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
-        raise GonalityError(f"cannot read graph file {path}: {exc}") from exc
+        raise GonalityError(f"cannot write {path}: {exc}") from exc
 
 
 def _note(args, message: str) -> None:
@@ -53,18 +68,14 @@ def _note(args, message: str) -> None:
 
 def _cmd_gonality(args) -> int:
     graph = _load_graph(args.graph)
-    result = gonality(graph, args.budget, with_certificate=args.certificate)
-    print(result.value)
-    if args.certificate:
-        if result.certificate is None:
-            _note(args, "note: no certificate for disconnected or single-vertex graphs")
-        else:
-            text = serialize_certificate(result.certificate)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+    with _output(args.out if args.certificate else None) as out:
+        result = gonality(graph, args.budget, with_certificate=args.certificate)
+        print(result.value)
+        if args.certificate:
+            if result.certificate is None:
+                _note(args, "note: no certificate for disconnected or single-vertex graphs")
             else:
-                print(text, end="")
+                print(serialize_certificate(result.certificate), end="", file=out)
     return EXIT_OK
 
 
@@ -85,39 +96,32 @@ def _cmd_reduce(args) -> int:
 def _cmd_bounds(args) -> int:
     tw_limit = _checked_int(args.tw_limit, "bounds", "--tw-limit", 0)
     graph = _load_graph(args.graph)
-    print(f"min_degree {min_degree(graph)}")
-    print(f"tw_lb {treewidth_lower_bound(graph)}")
-    td = None
-    if graph.n <= tw_limit:
-        tw, td = treewidth_exact(graph, tw_limit)
-        print(f"tw_exact {tw}")
-    else:
-        print(f"tw_exact skipped: n > {tw_limit}")
-    mis = maximum_independent_set(graph, args.budget)
-    status = "exact" if mis.exact else "lower_bound_only"
-    print(f"alpha {mis.alpha} {status}")
-    print(f"upper_bound {graph.n - mis.alpha}")
-    if args.n is not None and args.c is not None:
-        print(f"frieze_alpha {frieze_alpha_estimate(args.n, args.c)!r}")
-    if args.td_out and td is not None:
-        with open(args.td_out, "w", encoding="utf-8") as fh:
-            fh.write(serialize_tree_decomposition(td))
+    frieze = None if args.n is None or args.c is None else frieze_alpha_estimate(args.n, args.c)
+    with _output(args.td_out if graph.n <= tw_limit else None) as td_out:
+        print(f"min_degree {min_degree(graph)}")
+        print(f"tw_lb {treewidth_lower_bound(graph)}")
+        if graph.n <= tw_limit:
+            tw, td = treewidth_exact(graph, tw_limit)
+            print(f"tw_exact {tw}")
+        else:
+            print(f"tw_exact skipped: n > {tw_limit}")
+        mis = maximum_independent_set(graph, args.budget)
+        print(f"alpha {mis.alpha} {'exact' if mis.exact else 'lower_bound_only'}")
+        print(f"upper_bound {graph.n - mis.alpha}")
+        if frieze is not None:
+            print(f"frieze_alpha {frieze!r}")
+        if td_out is not None:
+            td_out.write(serialize_tree_decomposition(td))
     return EXIT_OK if mis.exact else EXIT_BUDGET
 
 
 def _cmd_sample(args) -> int:
     if (args.c is None) == (args.p is None):
         raise GonalityError("give exactly one of --c or --p")
-    if args.c is not None:
-        params = GnpParams(n=args.n, c=args.c, seed=args.seed)
-    else:
-        params = GnpParams.from_p(args.n, args.p, args.seed)
-    text = serialize_graph(sample_gnp(params))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    params = (GnpParams(args.n, args.c, args.seed) if args.p is None
+              else GnpParams.from_p(args.n, args.p, args.seed))
+    with _output(args.out) as out:
+        print(serialize_graph(sample_gnp(params)), end="", file=out)
     return EXIT_OK
 
 
@@ -136,9 +140,11 @@ def _cmd_experiment(args) -> int:
         record_timings=args.timings,
         workers=args.threads,
     )
-    summary, _ = run_experiment(config, args.out)
-    if args.out:
-        _note(args, f"wrote {summary.total_trials} rows to {args.out}")
+    with _output(args.out) as out:
+        summary, records = run_experiment(config)
+        if out is not None:
+            out.write(records_csv_text(records))
+            _note(args, f"wrote {summary.total_trials} rows to {args.out}")
     if len(summary.rows) >= 2:
         print(convergence_report(summary), end="")
     return EXIT_OK
@@ -146,11 +152,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_verify(args) -> int:
     graph = _load_graph(args.graph)
-    try:
-        with open(args.certificate, "r", encoding="utf-8") as fh:
-            cert = parse_certificate(fh.read(), graph.n)
-    except OSError as exc:
-        raise GonalityError(f"cannot read certificate {args.certificate}: {exc}") from exc
+    cert = parse_certificate(_read_text(args.certificate, "certificate"), graph.n)
     if verify_certificate(graph, cert):
         print(f"ok degree {cert.divisor.degree}")
         return EXIT_OK

@@ -145,10 +145,11 @@ def rank(graph: Graph, div: Divisor) -> int:
     ``-1`` when ``div`` has no effective equivalent; otherwise the largest k
     such that ``div - E`` keeps an effective equivalent for every effective E
     of degree k.  Computed through the recursion ``r(D) = 1 + min_v r(D - v)``
-    on 0-reduced forms, with ``r = -1`` where the base vertex is in debt.
-    ``deg D < 0`` gives -1 and, by Riemann-Roch (Baker-Norine),
-    ``deg D > 2g - 2`` gives ``deg D - g``, both without a reduction;
-    Riemann-Roch also bounds every rank below by ``max(-1, deg D - g)``.
+    on 0-reduced forms, with ``r = -1`` where the base vertex is in debt,
+    on the smaller side of Riemann-Roch (Baker-Norine), as its cost grows
+    with degree: ``deg D > g - 1`` gives ``deg D - g + 1 + r(K - D)``.
+    Negative degree gives -1 without a reduction.  Riemann-Roch also bounds
+    every rank below by ``max(-1, deg D - g)``.
     One loop walks the recursion on an explicit stack, so deep divisors
     need no Python recursion.  It reduces a child ``D - v`` only when its
     scan reaches v, trying chip-free vertices first, and it stops a node's
@@ -161,12 +162,14 @@ def rank(graph: Graph, div: Divisor) -> int:
     """
     _check_size(graph, div.chips, "divisor")
     _require_connected(graph)
-    degree, genus = div.degree, graph.m - graph.n + 1
-    if degree < 0:
-        return -1
-    if degree > 2 * genus - 2:
-        return degree - genus
-    return _rank_of_reduced(graph, tuple(_reduce_chips(graph, list(div.chips), 0)))
+    genus = graph.m - graph.n + 1
+    chips, shift = list(div.chips), 0
+    if div.degree > genus - 1:  # the dual K - D has the smaller degree
+        chips = [d - 2 - c for d, c in zip(graph.degrees, chips)]
+        shift = div.degree - genus + 1
+    if sum(chips) < 0:
+        return shift - 1
+    return shift + _rank_of_reduced(graph, tuple(_reduce_chips(graph, chips, 0)))
 
 
 def serialize_divisor(div: Divisor) -> str:
@@ -188,8 +191,7 @@ def serialize_firing_script(script: FiringScript) -> str:
 
 
 def parse_firing_script(text: str, n: Optional[int] = None) -> FiringScript:
-    div = parse_divisor(text, n)
-    return FiringScript(div.chips)
+    return FiringScript(parse_divisor(text, n).chips)
 
 
 # -- internals ---------------------------------------------------------------

@@ -52,28 +52,21 @@ def mix_trial_seed(master: int, n: int, trial: int) -> int:
 def c_of(c_spec: str, n: int) -> float:
     """Mean-degree family: ``sqrt`` is sqrt(n), ``log`` is ln(n), ``p:x``
     pins the edge probability at x (so c = x*n, for dense control series),
-    and anything else must parse as a positive constant."""
+    and anything else must parse as a positive finite constant."""
     if c_spec == "sqrt":
         return math.sqrt(n)
     if c_spec == "log":
         return math.log(n)
-    if c_spec.startswith("p:"):
-        try:
-            p = float(c_spec[2:])
-        except ValueError as exc:
-            raise GonalityError(f"bad fixed-probability spec {c_spec!r}") from exc
-        if not (0.0 <= p <= 1.0):
-            raise GonalityError(f"fixed probability must be in [0, 1], got {p}")
-        return p * n
+    fixed_p = c_spec.startswith("p:")
     try:
-        c = float(c_spec)
+        x = float(c_spec[2:] if fixed_p else c_spec)
     except ValueError as exc:
-        raise GonalityError(
-            f"c spec must be 'sqrt', 'log', 'p:x', or a number, got {c_spec!r}"
-        ) from exc
-    if c <= 0:
-        raise GonalityError(f"constant c must be positive, got {c}")
-    return c
+        raise GonalityError(f"c spec must be 'sqrt', 'log', 'p:x', or a number, got {c_spec!r}") from exc
+    if fixed_p and not 0.0 <= x <= 1.0:
+        raise GonalityError(f"fixed probability must be in [0, 1], got {x}")
+    if not fixed_p and not 0 < x < math.inf:
+        raise GonalityError(f"constant c must be positive and finite, got {x}")
+    return x * n if fixed_p else x
 
 
 @dataclass(frozen=True)
@@ -341,11 +334,13 @@ def record_to_csv_row(r: TrialRecord) -> str:
     return ",".join(write(getattr(r, field)) for field, write, _ in _COLUMNS)
 
 
+def records_csv_text(records: list[TrialRecord]) -> str:
+    return "".join(f"{line}\n" for line in [CSV_HEADER, *map(record_to_csv_row, records)])
+
+
 def write_records_csv(records: list[TrialRecord], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in records:
-            fh.write(record_to_csv_row(r) + "\n")
+        fh.write(records_csv_text(records))
 
 
 def read_records_csv(path: str) -> list[TrialRecord]:

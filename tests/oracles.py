@@ -12,7 +12,8 @@ the one-shot sampler the library used before it drew in blocks
 (``reference_sample_gnp``).
 q-reduction is decided by burning to a fixed point, and reduced by the
 Dhar rounds the library ran before its rounds fired only the cut
-(``reference_reduce``).
+(``reference_reduce``), and larger ranks by the plain rank recursion on
+those reduced forms, with no part of Riemann-Roch (``reference_rank``).
 Keeping these paths separate is what makes agreement tests meaningful.
 """
 
@@ -66,11 +67,16 @@ def exact_equivalent(graph: Graph, a, b) -> bool:
     image.  With the script pinned to 0 at vertex 0, the script is the
     exact rational solution of the reduced system, so a ~ b exactly when
     that solution is integral."""
-    if sum(a) != sum(b):
-        return False
+    return class_key(graph, a) == class_key(graph, b)
+
+
+def class_key(graph: Graph, chips) -> tuple[int, ...]:
+    """Equal for two divisors exactly when they are linearly equivalent: the
+    degree, then the scaled solution ``A d`` of :func:`exact_equivalent`'s
+    system for ``d = chips`` off vertex 0, modulo its denominator."""
     scaled, den = _pinned_laplacian_inverse(graph)
-    d = [x - y for x, y in zip(a, b)][1:]
-    return all(sum(m * x for m, x in zip(row, d)) % den == 0 for row in scaled)
+    rest = chips[1:]
+    return (sum(chips), *(sum(m * x for m, x in zip(row, rest)) % den for row in scaled))
 
 
 @lru_cache(maxsize=256)
@@ -162,6 +168,33 @@ def reference_reduce(graph: Graph, chips, q: int) -> tuple[tuple[int, ...], tupl
                     chips[w] += t
         for v in unburnt:
             script[v] += t
+
+
+def reference_rank(graph: Graph, chips, memo: Optional[dict] = None) -> int:
+    """Rank by the plain recursion ``r(D) = 1 + min_v r(D - v)`` on the
+    0-reduced forms of :func:`reference_reduce`, with ``r = -1`` where
+    vertex 0 is in debt.  It has no Riemann-Roch floor, dual or closed form,
+    so the theorem can be checked on its ranks.  ``memo`` maps reduced
+    forms to ranks; pass one dict for every query on the same graph.
+    """
+    memo = {} if memo is None else memo
+
+    def walk(red: tuple[int, ...]) -> int:
+        if red not in memo:
+            r = -1
+            if red[0] >= 0:
+                ranks = []
+                for v in range(graph.n):
+                    child = list(red)
+                    child[v] -= 1
+                    ranks.append(walk(reference_reduce(graph, child, 0)[0]))
+                    if ranks[-1] == -1:  # no rank is lower
+                        break
+                r = 1 + min(ranks)
+            memo[red] = r
+        return memo[red]
+
+    return walk(reference_reduce(graph, chips, 0)[0])
 
 
 def effective_divisors(n: int, degree: int):

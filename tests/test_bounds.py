@@ -477,6 +477,12 @@ class TestFriezeEstimate:
         with pytest.raises(GonalityError):
             frieze_alpha_estimate(0, 10)
 
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_non_finite_c_is_a_domain_error(self, c):
+        # a NaN passed the old c <= e check, and inf gave a NaN estimate
+        with pytest.raises(GonalityError, match="finite c > e"):
+            frieze_alpha_estimate(100, c)
+
     @pytest.mark.parametrize("c", [3.0, 4.0, 5.5, 10.0, math.sqrt(50)])
     def test_shared_bracket_is_bit_identical(self, c):
         old = math.log(c) - math.log(math.log(c)) - math.log(2.0) + 1.0

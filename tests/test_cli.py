@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from gonality import cli
 from gonality import (
     CSV_HEADER,
     complete_graph,
@@ -166,6 +172,70 @@ class TestExperimentCommand:
     def test_bad_n_list(self, capsys):
         rc = main(["experiment", "--n", "5;6", "--c", "2", "--trials", "1", "--seed", "1"])
         assert rc == 1
+
+
+class TestIOContract:
+    @pytest.fixture
+    def not_utf8(self, tmp_path):
+        path = tmp_path / "bad.edges"
+        path.write_bytes(b"\xff\xfe\x00")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["gonality", "{bad}"],
+        ["rank", "{bad}", "--divisor", "1"],
+        ["reduce", "{bad}", "--divisor", "1"],
+        ["bounds", "{bad}"],
+        ["verify", "{bad}", "{good}"],
+        ["verify", "{good}", "{bad}"],
+    ])
+    def test_file_that_is_not_utf8_is_a_domain_error(self, argv, not_utf8, k4_file, capsys):
+        assert main([a.format(bad=not_utf8, good=k4_file) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and f"{not_utf8}: 'utf-8' codec can't decode" in err
+
+    @pytest.mark.parametrize("argv, work", [
+        (["gonality", "{graph}", "--certificate", "--out", "{out}"], "gonality"),
+        (["bounds", "{graph}", "--td-out", "{out}"], "min_degree"),
+        (["sample", "--n", "5", "--c", "2", "--seed", "1", "--out", "{out}"], "sample_gnp"),
+        (["experiment", "--n", "5", "--c", "2", "--trials", "1", "--seed", "1", "--out", "{out}"],
+         "run_experiment"),
+    ])
+    def test_unwritable_output_fails_before_any_work(self, argv, work, k4_file, tmp_path, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work} ran before the output path was checked")
+
+        monkeypatch.setattr(cli, work, no_work)
+        out = str(tmp_path / "missing" / "out.txt")
+        assert main([a.format(graph=k4_file, out=out) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert f"error: cannot write {out}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("c", ["inf", "nan"])
+    def test_non_finite_c_is_refused_before_any_work(self, p5_file, c, capsys):
+        assert main(["bounds", p5_file, "--n", "10", "--c", c]) == 1
+        captured = capsys.readouterr()
+        assert "finite c > e" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["gonality", "{bad}"],
+        ["sample", "--n", "5", "--c", "2", "--seed", "1", "--out", "{missing}"],
+        ["bounds", "{good}", "--n", "10", "--c", "nan"],
+    ])
+    def test_console_exits_one_without_a_traceback(self, argv, not_utf8, p5_file, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        missing = str(tmp_path / "missing" / "g.edges")
+        args = [a.format(bad=not_utf8, good=p5_file, missing=missing) for a in argv]
+        proc = subprocess.run(
+            [sys.executable, "-m", "gonality.cli", *args],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 class TestUsageErrors:

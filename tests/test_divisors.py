@@ -49,6 +49,7 @@ from oracles import (
     fire_script,
     is_q_reduced,
     random_connected_graph,
+    reference_rank,
     reference_reduce,
 )
 
@@ -400,9 +401,41 @@ class TestRank:
             k = canonical_divisor(g)
             assert rank(g, d) - rank(g, k - d) == d.degree - genus(g) + 1
 
+    def test_dual_matches_brute_force(self):
+        # degrees g through 2g - 1, where rank() answers through K - D, of
+        # degree 2g - 2 - deg D in [-1, g - 2]; one chip may be in debt
+        rnd = random.Random(35)
+        tested = 0
+        while tested < 40:
+            g = random_connected_graph(rnd, rnd.randint(2, 5), 0.6)
+            if not 1 <= genus(g) <= 3:
+                continue
+            tested += 1
+            chips = [0] * g.n
+            for _ in range(rnd.randint(genus(g), 2 * genus(g) - 1) + 1):
+                chips[rnd.randrange(g.n)] += 1
+            chips[rnd.randrange(g.n)] -= 1
+            assert rank(g, Divisor(tuple(chips))) == brute_rank(g, chips)
+
+    def test_reference_rank_matches_brute_force(self):
+        # the oracle that criterion 06 checks Riemann-Roch on
+        rnd = random.Random(36)
+        for _ in range(40):
+            g = random_connected_graph(rnd, rnd.randint(1, 4), 0.7)
+            chips = random_divisor(rnd, g.n, bound=3).chips
+            assert reference_rank(g, chips) == brute_rank(g, chips)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.data())
+    def test_matches_reference_rank(self, data):
+        g = draw_connected_graph(data, 1, 6)
+        chips = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=g.n, max_size=g.n)))
+        assert rank(g, Divisor(chips)) == reference_rank(g, chips)
+
     def test_deep_divisor_needs_no_recursion(self):
-        # rank() answers deg D > 2g - 2 by Riemann-Roch, so the recursion on
-        # K2 is entered directly: it runs 5000 nodes deep; give it 60 frames
+        # rank() answers deg D > g - 1 through K - D, of negative degree
+        # here, so the recursion on K2 is entered directly: it runs 5000
+        # nodes deep; give it 60 frames
         limit = sys.getrecursionlimit()
         try:
             sys.setrecursionlimit(len(inspect.stack()) + 60)
@@ -420,8 +453,8 @@ class TestRank:
         assert brute_rank(path, (-1, 1, 3)) == rank(path, divisor(-1, 1, 3)) == 3
 
     def test_matches_brute_force_around_canonical_degree(self):
-        # degrees from 2g - 4 to 2g - 1, where the Riemann-Roch floor closes
-        # frames early and the closed form takes over
+        # degrees from 2g - 4 to 2g - 1, which rank() answers through K - D,
+        # of degree 2 down to -1
         rnd = random.Random(34)
         tested = 0
         while tested < 30:
@@ -629,10 +662,10 @@ class TestGraphOwnedMemo:
         assert found == [g]
 
     def test_memo_is_freed_with_the_graph(self):
-        # degree 3 <= 2g - 2 = 4, so Riemann-Roch leaves the rank to the
-        # recursion
+        # degree 2 = g - 1, so rank() recurses on D itself, whose debt away
+        # from vertex 0 needs the BFS layers
         g = complete_graph(4)
-        rank(g, divisor(2, 0, 1, 0))
+        rank(g, divisor(2, 1, 0, -1))
         assert g._rank_memo and g._layer_tables
         ref = weakref.ref(g)
         del g

@@ -60,6 +60,11 @@ class TestCSpec:
         with pytest.raises(GonalityError):
             c_of("p:1.5", 8)
 
+    @pytest.mark.parametrize("spec", ["nan", "inf", "-inf", "p:nan", "p:inf"])
+    def test_non_finite_specs(self, spec):
+        with pytest.raises(GonalityError):
+            c_of(spec, 8)
+
 
 class TestConfig:
     def test_exact_mode_size_guard(self):
