@@ -108,22 +108,29 @@ def validate_tree_decomposition(graph: Graph, td: TreeDecomposition) -> Validati
     return ValidationReport(True, None, width)
 
 
-# The DP's one list of 2^n widths takes 128 MiB at n = 24, but the ceiling
-# guards the minute of CPU there; each further vertex doubles both
+# The DP's one table of 2^n widths takes 16 MiB at n = 24, but the ceiling
+# guards the CPU there, most of a minute; each further vertex doubles both
 _TW_MAX_N = 24
 
 
 def treewidth_exact(graph: Graph, size_limit: int = 16) -> tuple[int, TreeDecomposition]:
     """Exact treewidth with a witness decomposition.
 
-    Dynamic programming over subsets of eliminated vertices: the width of
-    the best elimination order with prefix S satisfies
+    Dynamic programming over subsets of eliminated vertices (Bodlaender,
+    Fomin, Koster, Kratsch and Thilikos, TALG 2012): the width of the best
+    elimination order with prefix S satisfies
     ``f(S) = min_v max(f(S - v), |Q(S - v, v)|)`` where ``Q(S, v)`` is the
-    set of vertices outside ``S + v`` that v reaches through S.  The order
-    is read back from the table from the full set down, at each step the
-    least v that attains ``f(S)``, and made into bags by
-    :func:`_decomposition_from_order`.  Refuses graphs above ``size_limit``,
-    or above the ceiling ``_TW_MAX_N`` whatever the limit, before allocating.
+    set of vertices outside ``S + v`` that v reaches through S.  Every v in
+    one component K of ``G[S]`` has the same ``Q(S - v, v) = N(K) - S``, so
+    ``f(S) = min_K max(|N(K) - S|, min_{v in K} f(S - v))``: one search per
+    component.  A component is grown one breadth-first layer per step, the
+    neighbourhood of a mask looked up in two tables of 2^(n/2) entries, one
+    for its low half of the vertex bits and one for its high half.  The
+    widths, at most 23, fill one ``bytearray``.  The order is read back
+    from the table from the full set down, at each step the least v that
+    attains ``f(S)``, and made into bags by :func:`_decomposition_from_order`.
+    Refuses graphs above ``size_limit``, or above the ceiling ``_TW_MAX_N``
+    whatever the limit, before allocating.
     """
     n = graph.n
     limit = min(_checked_int(size_limit, "treewidth_exact", "size limit", 0), _TW_MAX_N)
@@ -132,22 +139,40 @@ def treewidth_exact(graph: Graph, size_limit: int = 16) -> tuple[int, TreeDecomp
     if n == 0:
         return -1, TreeDecomposition((frozenset(),), ())
     adj = graph.adjacency_bits
+    half = n // 2
+    low_mask = (1 << half) - 1
+    low_nb, high_nb = _neighbourhood_table(adj[:half]), _neighbourhood_table(adj[half:])
     size = 1 << n
-    f = [0] * size
+    f = bytearray(size)
     for s in range(1, size):
         best = n
-        m = s
-        while m:
-            low = m & -m
-            t = s ^ low
-            w = f[t]
-            if w < best:
-                back = _reach_through(adj, t, low.bit_length() - 1).bit_count()
-                if back > w:
-                    w = back
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if f[s ^ low] >= best:
+                continue
+            # v's component of G[s], one layer at a time, and its neighbours
+            comp, grow = 0, low
+            while grow:
+                comp |= grow
+                nb = low_nb[comp & low_mask] | high_nb[comp >> half]
+                grow = nb & s & ~comp
+            rest &= ~comp
+            back = (nb & ~s).bit_count()
+            if back >= best:
+                continue
+            # the component's min of f(s - v); nothing in it goes below back
+            m = comp
+            while m:
+                bit = m & -m
+                m ^= bit
+                w = f[s ^ bit]
                 if w < best:
+                    if w <= back:
+                        best = back
+                        break
                     best = w
-            m ^= low
         f[s] = best
     order = []
     s = size - 1
@@ -371,7 +396,10 @@ def parse_tree_decomposition(text: str) -> TreeDecomposition:
 
 def _reach_through(adj: tuple[int, ...], prefix: int, v: int) -> int:
     """Q(prefix, v) as a bitmask: the vertices outside ``prefix + v`` that v
-    reaches through paths whose inner vertices all lie in ``prefix``."""
+    reaches through paths whose inner vertices all lie in ``prefix``.  That
+    is ``N(K) - S`` for ``S = prefix + v`` and K the component of v in
+    ``G[S]``, the same for every v of K, which :func:`treewidth_exact`'s DP
+    relies on."""
     comp = 1 << v
     nb = adj[v]
     while True:
@@ -384,6 +412,14 @@ def _reach_through(adj: tuple[int, ...], prefix: int, v: int) -> int:
             nb |= adj[low.bit_length() - 1]
             grow ^= low
     return nb & ~prefix & ~(1 << v)
+
+
+def _neighbourhood_table(adj: tuple[int, ...]) -> list[int]:
+    """The union of ``adj[i]`` over the bits i of each mask below 2^len(adj)."""
+    table = [0]
+    for row in adj:
+        table += [nb | row for nb in table]
+    return table
 
 
 def _disjoint_paths_reach(adj: tuple[int, ...], source: int, sink: int, k: int) -> bool:

@@ -148,13 +148,11 @@ def rank(graph: Graph, div: Divisor) -> int:
     on 0-reduced forms, with ``r = -1`` where the base vertex is in debt,
     on the smaller side of Riemann-Roch (Baker-Norine), as its cost grows
     with degree: ``deg D > g - 1`` gives ``deg D - g + 1 + r(K - D)``.
-    Negative degree gives -1 without a reduction.  Riemann-Roch also bounds
-    every rank below by ``max(-1, deg D - g)``.
+    Negative degree gives -1 without a reduction.
     One loop walks the recursion on an explicit stack, so deep divisors
     need no Python recursion.  It reduces a child ``D - v`` only when its
     scan reaches v, trying chip-free vertices first, and it stops a node's
-    scan at the first child whose rank meets that floor,
-    ``max(-1, deg D - 1 - g)``, as no later child can go lower.
+    scan at the first child of rank -1, as no later child can go lower.
     Every rank found by the recursion is memoized on its reduced form, so
     repeated queries against the same graph stay cheap.  The memo belongs
     to the ``graph`` object and is freed with it: an equal but distinct
@@ -415,8 +413,6 @@ def _rank_of_reduced(graph: Graph, key: tuple[int, ...]) -> int:
     A frame is ``[key, vertex order, next index, min child rank]``.  Every
     rank the recursion finds goes into the ``graph`` object's own memo.
     """
-    genus = graph.m - graph.n + 1
-    top = sum(key)
     cache = graph._rank_memo
     frames: list[list] = []
     while True:
@@ -433,9 +429,7 @@ def _rank_of_reduced(graph: Graph, key: tuple[int, ...]) -> int:
             while frames:
                 fr = frames[-1]
                 fr[3] = min(fr[3], r)
-                # frame i holds degree top - i, so by Riemann-Roch each of its
-                # children has rank at least top - i - 1 - genus
-                if fr[3] > max(-1, top - len(frames) - genus) and fr[2] < graph.n:
+                if fr[3] > -1 and fr[2] < graph.n:
                     break
                 r = cache[fr[0]] = fr[3] + 1
                 frames.pop()

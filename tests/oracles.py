@@ -7,7 +7,9 @@ latter alone, so no script bound can make them under-report), independence
 numbers and edge cuts by subset enumeration, larger independence numbers by
 the max-degree branch and bound the library used before colour ordering
 (``_reference_mis``), and small-graph corpora come from networkx.
-Elimination widths are found by explicit fill-in, and G(n, p) graphs by
+Elimination widths are found by explicit fill-in, exact treewidth and its
+witness by the per-(subset, vertex) DP the library ran before it searched
+components (``reference_treewidth``), and G(n, p) graphs by
 the one-shot sampler the library used before it drew in blocks
 (``reference_sample_gnp``).
 q-reduction is decided by burning to a fixed point, and reduced by the
@@ -277,6 +279,65 @@ def brute_treewidth(graph: Graph) -> int:
             del adj[v]
         best = min(best, worst)
     return best
+
+
+def reference_treewidth(graph: Graph):
+    """Exact treewidth and its witness as ``(width, bags, tree_edges)``, by
+    the subset DP the library ran before it searched components: one search
+    for ``Q(S - v, v)`` per subset S and vertex v, then the same readback
+    (the least v attaining ``f(S)``, from the full set down) and the same
+    bags along the order."""
+    n = graph.n
+    if n == 0:
+        return -1, (frozenset(),), ()
+    adj = graph.adjacency
+    size = 1 << n
+    f = [0] * size
+    for s in range(1, size):
+        best = n
+        for v in range(n):
+            t = s ^ 1 << v
+            if s >> v & 1 and f[t] < best:
+                best = min(best, max(f[t], _reference_reach(adj, t, v).bit_count()))
+        f[s] = best
+    order = []
+    s = size - 1
+    while s:
+        v = next(v for v in range(n) if s >> v & 1 and f[s ^ 1 << v] <= f[s]
+                 and _reference_reach(adj, s ^ 1 << v, v).bit_count() <= f[s])
+        order.append(v)
+        s ^= 1 << v
+    order.reverse()
+    position = {v: i for i, v in enumerate(order)}
+    bags, edges, roots = [], [], []
+    before = 0
+    for i, v in enumerate(order):
+        q = _reference_reach(adj, before, v)
+        later = [u for u in range(n) if q >> u & 1]
+        bags.append(frozenset([v, *later]))
+        if later:
+            edges.append((i, min(position[u] for u in later)))
+        else:
+            roots.append(i)
+        before |= 1 << v
+    edges.extend(zip(roots, roots[1:]))
+    return f[size - 1], tuple(bags), tuple(edges)
+
+
+def _reference_reach(adj, prefix: int, v: int) -> int:
+    """The vertices outside ``prefix + v`` that v reaches through paths whose
+    inner vertices lie in ``prefix``, by a breadth-first search from v over
+    neighbour lists."""
+    seen, queue, out = {v}, [v], 0
+    for u in queue:
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                if prefix >> w & 1:
+                    queue.append(w)
+                else:
+                    out |= 1 << w
+    return out
 
 
 def fill_in_width(graph: Graph, order) -> int:
