@@ -264,7 +264,7 @@ def _reduce_chips(graph: Graph, chips: list[int], q: int, script: Optional[list[
     script adds the rounds' total t to every entry once at the end.  The
     jump changes neither the result nor the script, only how many Dhar
     rounds it takes.  The burn stays scalar beside the batched
-    ``search._burns_everything``: run as a 1-row numpy burn, that kernel
+    ``search._burn``: run as a 1-row numpy burn, that kernel
     made the ``divisor_queries`` benchmark about three times slower, as each
     small burn pays numpy's fixed per-call cost.  Raises
     :class:`DisconnectedGraphError` unless the graph is connected.

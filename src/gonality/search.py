@@ -12,11 +12,12 @@ chips and, where those ways fit in a chunk, the ways themselves as
 lex-ordered completion tables.  A degree's candidate vectors are then
 built in ascending lex order as numpy chunks of bounded size, most of
 them by one gather from the tables, and Dhar's burn runs on a whole chunk
-at once: the burn from the base keeps the q-reduced rows, and a burn from
-a chip-free vertex v that consumes the graph refutes a row.  The rows
-left go in lex order to the scalar positive-rank test, which decides them
-and supplies the witness scripts, so the first row it accepts is the
-lex-first hit.
+at once: the burn from the base keeps the q-reduced rows.  Each row D is
+then paired with its chip-free vertices v, and the first two Dhar rounds
+of reducing ``D - v`` at base v run on many pairs at once; a pair they
+leave v-reduced with v in debt refutes its row.  The rows left go in lex
+order to the scalar positive-rank test, which decides them and supplies
+the witness scripts, so the first row it accepts is the lex-first hit.
 
 Every reported value carries a certificate: the witness divisor plus, for
 each vertex v, a firing script taking ``divisor - v`` to an effective
@@ -96,8 +97,10 @@ class GonalityResult:
 
 
 def verify_certificate(graph: Graph, cert: PositiveRankCertificate) -> bool:
-    """Re-check a certificate by direct firing evaluation only."""
-    if len(cert.divisor.chips) != graph.n or len(cert.witnesses) != graph.n:
+    """Re-check a certificate by direct firing evaluation only.  A divisor,
+    witness list or script of the wrong length fails the check."""
+    lengths = [len(cert.divisor.chips), len(cert.witnesses), *(len(w.fires) for w in cert.witnesses)]
+    if any(k != graph.n for k in lengths):
         return False
     for v in range(graph.n):
         fired = apply_firing(graph, cert.divisor.minus_vertex(v), cert.witnesses[v])
@@ -361,56 +364,94 @@ def _candidate_chunks(scan: _Scan, d: int) -> Iterator[np.ndarray]:
         yield rows
 
 
-def _burns_everything(graph: Graph, chips: np.ndarray, sources) -> np.ndarray:
-    """Per row, whether Dhar's burn from that row's source reaches every
-    vertex.
+def _burn(graph: Graph, chips: np.ndarray, sources) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the vertices Dhar's burn from that row's source reaches, and
+    each vertex's count of burnt neighbors.
 
     A vertex burns once its burnt neighbors outnumber its chips; the chips
     at the source do not matter.  ``sources`` is one vertex for all rows or
     one per row.
     """
     adj = graph.adjacency_matrix
-    lit = (np.arange(len(chips)), sources)
-    burnt = np.zeros(chips.shape, dtype=bool)
-    burnt[lit] = True
-    count = len(chips)
+    chips = chips.astype(adj.dtype)  # a copy, compared with no cast per round
+    chips[np.arange(len(chips)), sources] = -1  # so the sources stay burnt
+    held, count = adj[sources], len(chips)  # the sources' burnt neighbors
     while True:
-        burnt = burnt @ adj > chips
-        burnt[lit] = True
+        burnt = held > chips
         grown = np.count_nonzero(burnt)
-        if grown == count:
-            return burnt.all(axis=1)
-        count = grown
+        if grown == count:  # nothing new burnt, so held counts this set
+            return burnt, held
+        held, count = burnt @ adj, grown
+
+
+def _refutes(graph: Graph, chips: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Per row D and its chip-free source v, whether the first two Dhar
+    rounds of reducing ``D - v`` at base v leave v in debt and the divisor
+    v-reduced, so that ``D - v`` has no effective equivalent.
+
+    Round one burns from v; if the burn consumes the graph, ``D - v`` is
+    already v-reduced.  Otherwise the unburnt side U fires t times, t the
+    least ``chips // burnt neighbors`` over the cut, which is at least 1 as
+    no cut vertex burnt.  A v bordering U gains at least t chips and leaves
+    debt, which settles the pair as unrefuted.  Any other v burns again on
+    the fired chips, and a burn that consumes the graph refutes the pair.
+    The fired chips are float32, wider than the scan's rows: a vertex gains
+    at most the chips on its unburnt neighbors, so every count stays exact
+    while the degree of D is below 2**24.
+    """
+    burnt, held = _burn(graph, chips, sources)
+    refuted = burnt.all(axis=1)
+    live = np.flatnonzero(~refuted)
+    if not len(live):
+        return refuted
+    burnt, held, chips, sources = burnt[live], held[live], chips[live], sources[live]
+    cut = (held > 0) & ~burnt
+    share = np.floor_divide(chips, held, out=np.full(held.shape, np.inf, dtype=held.dtype), where=cut)
+    t = share.min(axis=1, keepdims=True)
+    # firing U moves t chips over each cut edge, from U's side to B's
+    fired = chips + t * (burnt * np.asarray(graph.degrees, dtype=held.dtype) - held)
+    debt = np.flatnonzero(fired[np.arange(len(live)), sources] == 0)
+    if len(debt):
+        refuted[live[debt]] = _burn(graph, fired[debt], sources[debt])[0].all(axis=1)
+    return refuted
 
 
 def _scan_degree(scan: _Scan, d: int) -> Optional[tuple[tuple[int, ...], list[list[int]]]]:
     """First positive-rank q-reduced divisor of degree d in lex order, with
     its witness scripts, if any.
 
-    A row with no chip at v is refuted when the burn from v consumes the
-    whole graph, because ``D - v`` is then v-reduced with -1 at v.  The
-    rows no such burn refutes go in order to the scalar test, which decides
-    the rest and supplies the scripts.
+    :func:`_refutes` settles most (row, chip-free vertex) pairs that fail.
+    It first takes each row at its first chip-free vertex, where most
+    failing rows fail, then the rows left at their other chip-free
+    vertices, a part of whole rows and at most a chunk of pairs at a time.
+    Each part's rows that no pair refuted go in lex order to the scalar
+    test, which decides them and supplies the scripts, before the next part
+    burns, so no part past the first hit is burnt.
     """
     graph = scan.graph
     for rows in _candidate_chunks(scan, d):
-        rows = rows[_burns_everything(graph, rows, 0)]  # the q-reduced rows
-        # burn each row from its first chip-free vertex, which refutes most
-        # rows that fail, then the rows left from all their other ones, at
-        # most a chunk of (row, vertex) pairs per burn
+        rows = rows[_burn(graph, rows, 0)[0].all(axis=1)]  # the q-reduced rows
         row, v = np.nonzero(rows == 0)
         first = np.ones(len(row), dtype=bool)
         first[1:] = row[1:] != row[:-1]
         refuted = np.zeros(len(rows), dtype=bool)
-        for pick in (first, ~first):
-            pairs = np.flatnonzero(pick & ~refuted[row])
-            for part in np.split(pairs, range(_CHUNK_ROWS, len(pairs), _CHUNK_ROWS)):
-                refuted[row[part][_burns_everything(graph, rows[row[part]], v[part])]] = True
-        rows = rows[~refuted]
-        for chips in map(tuple, rows.tolist()):
-            scripts = _positive_rank_scripts(graph, chips)
-            if scripts is not None:
-                return chips, scripts
+        refuted[row[first][_refutes(graph, rows[row[first]], v[first])]] = True
+        rest = ~first & ~refuted[row]
+        row, v = row[rest], v[rest]
+        lo = 0
+        while lo < len(rows):
+            # the rows from lo whose pairs fit in a chunk, at least one
+            a = row.searchsorted(lo)
+            hi = len(rows) if a + _CHUNK_ROWS >= len(row) else max(lo + 1, int(row[a + _CHUNK_ROWS]))
+            b = row.searchsorted(hi)
+            for s in range(a, b, _CHUNK_ROWS):
+                part = slice(s, min(s + _CHUNK_ROWS, b))
+                refuted[row[part][_refutes(graph, rows[row[part]], v[part])]] = True
+            for chips in map(tuple, rows[lo:hi][~refuted[lo:hi]].tolist()):
+                scripts = _positive_rank_scripts(graph, chips)
+                if scripts is not None:
+                    return chips, scripts
+            lo = hi
     return None
 
 

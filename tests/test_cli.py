@@ -1,14 +1,19 @@
+import io
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gonality import cli
 from gonality import (
     CSV_HEADER,
     complete_graph,
+    cycle_graph,
     gonality,
     parse_certificate,
     path_graph,
@@ -236,6 +241,93 @@ class TestIOContract:
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+# numbers as a user might type them, non-finite and out of range among them
+_NUMBERS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "NaN", "1e400", "-0", "0", "-1", "2.5", "p:nan"]),
+    st.floats().map(repr),
+)
+_JUNK = st.sampled_from([b"\xff", b"\xc3", b"\x00", b"x", b"-", b" ", b"\n", b"9", b"nan", b"1.5"])
+
+
+@st.composite
+def _corrupted(draw, text: str) -> bytes:
+    """``text`` as UTF-8, truncated, spliced with junk or made not UTF-8."""
+    raw = text.encode()
+    at = draw(st.integers(0, len(raw) - 1))
+    how = draw(st.sampled_from(["truncate", "insert", "replace", "not_utf8"]))
+    if how == "truncate":
+        return raw[:at]
+    if how == "not_utf8":
+        return raw[:at] + b"\xff" + raw[at:]
+    return raw[:at] + draw(_JUNK) + raw[at + (how == "replace"):]
+
+
+@st.composite
+def _argv(draw, tmp: str) -> list[str]:
+    """One subcommand's arguments, with any of the three faults drawn in:
+    corrupted input files, an output path in a missing directory, and
+    numbers that are non-finite or out of range.  Without a fault a value
+    is one the command accepts, so each fault also meets the deep paths."""
+    faults = draw(st.sets(st.sampled_from(["file", "output", "number"])))
+
+    def number(*good: str) -> str:
+        return draw(_NUMBERS if "number" in faults else st.sampled_from(good))
+
+    def flags(**values) -> list[str]:  # each flag left out or given its value
+        return [f for name, v in values.items() if draw(st.booleans()) for f in (f"--{name.replace('_', '-')}", v())]
+
+    def write(name: str, text: str) -> str:
+        path = os.path.join(tmp, name)
+        with open(path, "wb") as fh:
+            fh.write(draw(_corrupted(text)) if "file" in faults and draw(st.booleans()) else text.encode())
+        return path
+
+    graph = draw(st.sampled_from([path_graph(5), complete_graph(4), cycle_graph(5)]))
+    graph_file = write("g.edges", serialize_graph(graph))
+    cert_file = write("c.txt", serialize_certificate(gonality(graph).certificate))
+    out = os.path.join(tmp, *(["missing"] if "output" in faults else []), "out.txt")
+    divisor = " ".join(number("0", "1", "2", "-1") for _ in range(draw(st.integers(graph.n - 1, graph.n))))
+    command = draw(st.sampled_from(["gonality", "rank", "reduce", "bounds", "sample", "experiment", "verify"]))
+    if command == "gonality":
+        return [command, graph_file, "--certificate", *flags(budget=lambda: number("1", "5", "40"), out=lambda: out)]
+    if command in ("rank", "reduce"):
+        base = flags(base=lambda: number("0", "3")) if command == "reduce" else []
+        return [command, graph_file, "--divisor", divisor, *base]
+    if command == "bounds":
+        return [command, graph_file, *flags(budget=lambda: number("1", "100"), tw_limit=lambda: number("0", "16"),
+                                            td_out=lambda: out, n=lambda: number("10"), c=lambda: number("3", "5.5"))]
+    if command == "sample":
+        rate = draw(st.sampled_from([["--c", number("2", "3.5")], ["--p", number("0.5", "1", "0")]]))
+        return [command, "--n", number("5", "8"), "--seed", number("1", "7"), *rate, *flags(out=lambda: out)]
+    if command == "experiment":
+        c_spec = draw(st.sampled_from(["sqrt", "log", "p:" + number("0.5", "1"), number("2", "3.5")]))
+        # one worker: a process pool per example would take most of the time
+        return [command, "--n", ",".join([number("5", "6")] * draw(st.integers(1, 2))), "--c", c_spec,
+                "--trials", number("1", "2"), "--seed", number("1", "7"),
+                *flags(budget=lambda: number("1", "50"), out=lambda: out)]
+    return [command, graph_file, cert_file]
+
+
+class TestCLIProperty:
+    """Every subcommand, given corrupted or non-UTF-8 files, output paths in
+    missing directories and non-finite numbers, exits 0, 1 or 2 and never
+    with a traceback."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_every_subcommand_exits_as_documented(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = data.draw(_argv(tmp))
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's usage errors
+                    code = exc.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
 
 
 class TestUsageErrors:

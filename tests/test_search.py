@@ -12,8 +12,10 @@ from gonality import (
     BudgetExceededError,
     CertificateError,
     Divisor,
+    FiringScript,
     GonalityError,
     NotIndependentError,
+    PositiveRankCertificate,
     apply_firing,
     build_graph,
     certify_independence_bound,
@@ -32,7 +34,7 @@ from gonality import (
     verify_certificate,
 )
 from gonality import search
-from gonality.divisors import _positive_rank_scripts
+from gonality.divisors import _positive_rank_scripts, _reduce_chips
 
 from oracles import (
     brute_alpha,
@@ -368,7 +370,7 @@ def _batched_outcomes(g, d, budget):
     scan = search._Scan(g, g.n, budget)
     return (_outcome(lambda: search._scan_degree(scan, d)),
             _outcome(lambda: [tuple(r) for c in search._candidate_chunks(scan, d)
-                              for r in c[search._burns_everything(g, c, 0)].tolist()]))
+                              for r in c[search._burn(g, c, 0)[0].all(axis=1)].tolist()]))
 
 
 def _oracle_corpus():
@@ -460,6 +462,71 @@ class TestBatchedScanAgainstScalar:
             assert _batched_outcomes(g, d, budget) == _scalar_outcomes(g, d, budget)
         finally:
             search._CHUNK_ROWS = saved
+
+
+class TestVerifyCertificate:
+    @pytest.mark.parametrize("cut", ["divisor", "witnesses", "script"])
+    def test_wrong_length_is_invalid_not_an_error(self, cut):
+        cert = gonality(complete_graph(4)).certificate
+        if cut == "divisor":
+            cert = PositiveRankCertificate(Divisor(cert.divisor.chips[:-1]), cert.witnesses)
+        elif cut == "witnesses":
+            cert = PositiveRankCertificate(cert.divisor, cert.witnesses[:-1])
+        else:
+            short = FiringScript(cert.witnesses[2].fires[:-1])
+            cert = PositiveRankCertificate(cert.divisor, (*cert.witnesses[:2], short, *cert.witnesses[3:]))
+        assert verify_certificate(complete_graph(4), cert) is False
+
+
+class TestRefutationKernel:
+    """``search._refutes`` against the scalar reduction: a (row D, chip-free
+    v) pair it refutes reduces at base v with v still in debt."""
+
+    @staticmethod
+    def check_pairs(g, rows):
+        """Refute every chip-free pair of ``rows``, check each refuted one,
+        and count the pairs refuted and those the first burn alone refutes."""
+        row, v = np.nonzero(rows == 0)
+        refuted = search._refutes(g, rows[row], v)
+        for r, u in zip(row[refuted].tolist(), v[refuted].tolist()):
+            rest = rows[r].tolist()
+            rest[u] = -1
+            assert _reduce_chips(g, rest, u)[u] < 0, (g.edges, rows[r].tolist(), u)
+        one_burn = search._burn(g, rows[row], v)[0].all(axis=1)
+        assert not (one_burn & ~refuted).any()  # the second round only adds
+        return int(refuted.sum()), int(one_burn.sum())
+
+    def test_every_candidate_pair_on_random_graphs(self):
+        # every q-reduced candidate of each degree from 1, while the graph's
+        # rows so far stay below 400, and every chip-free vertex of each
+        rnd = random.Random(46)
+        refuted = first_burn = 0
+        for n in range(2, 17):
+            for p in (0.3, 0.5, 0.9):
+                g = random_connected_graph(rnd, n, p)
+                scan, seen = search._Scan(g, g.n, None), 0
+                for d in range(1, g.n):
+                    if seen >= 400:
+                        break
+                    for chunk in search._candidate_chunks(scan, d):
+                        rows = chunk[search._burn(g, chunk, 0)[0].all(axis=1)]
+                        seen += len(rows)
+                        a, b = self.check_pairs(g, rows)
+                        refuted, first_burn = refuted + a, first_burn + b
+        assert first_burn > 100_000 and refuted > first_burn + 2000
+
+    def test_fire_wider_than_the_scan_dtype(self):
+        # K14 less the edges from 0, bar 0-1: the burn from 0 lights 1 only,
+        # and the other twelve fire 11 times, 132 chips onto 1, past int8
+        g = build_graph(14, [(u, w) for u in range(14) for w in range(u + 1, 14) if u >= 1 or w == 1])
+        chips = [0, 0] + [11] * 12
+        rows = np.array([chips], dtype=search._Scan(g, g.n, None).dtype)
+        assert rows.dtype == np.int8
+        burnt, held = search._burn(g, rows, 0)
+        assert burnt[0].tolist() == [True, True] + [False] * 12 and held[0, 2:].tolist() == [1] * 12
+        assert not search._refutes(g, rows, np.array([0]))[0]
+        assert _reduce_chips(g, [-1] + chips[1:], 0)[0] >= 0
+        assert self.check_pairs(g, rows) == (0, 0)
 
 
 class TestScanOutcomesDigest:
