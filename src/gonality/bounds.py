@@ -53,10 +53,6 @@ class ValidationReport:
 class IndependentSet:
     vertices: frozenset[int]
 
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
 
 @dataclass(frozen=True)
 class MISResult:
@@ -73,7 +69,7 @@ class MISResult:
 
     @property
     def alpha(self) -> int:
-        return self.independent.size
+        return len(self.independent.vertices)
 
 
 def validate_tree_decomposition(graph: Graph, td: TreeDecomposition) -> ValidationReport:

@@ -16,13 +16,14 @@ wrap no matter how large firing scripts grow.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DisconnectedGraphError, GonalityError
-from .graphs import Graph
+from .graphs import Graph, _checked_int, genus
 
 
 @dataclass(frozen=True)
@@ -78,17 +79,10 @@ def canonical_divisor(graph: Graph) -> Divisor:
 
 def apply_firing(graph: Graph, div: Divisor, script: FiringScript) -> Divisor:
     """Apply a firing script: each vertex v loses ``f(v) * val(v)`` chips and
-    gains ``f(u)`` from each neighbor u.  Degree is preserved."""
-    _check_size(graph, div.chips, "divisor")
-    _check_size(graph, script.fires, "script")
-    f = script.fires
-    deg = graph.degrees
-    adj = graph.adjacency
-    out = [
-        div.chips[v] - f[v] * deg[v] + sum(f[u] for u in adj[v])
-        for v in range(graph.n)
-    ]
-    return Divisor(tuple(out))
+    gains ``f(u)`` from each neighbor u.  Degree is preserved.  Raises
+    :class:`GonalityError` for a wrong length or a non-integer entry."""
+    chips = _int_entries(graph, div.chips, "divisor")
+    return Divisor(tuple(_fired(graph, chips, _int_entries(graph, script.fires, "script"))))
 
 
 def q_reduce(graph: Graph, div: Divisor, q: int = 0) -> Divisor:
@@ -115,9 +109,8 @@ def linearly_equivalent(graph: Graph, a: Divisor, b: Divisor) -> bool:
     class has one reduced form.  Reduction keeps the degree, so divisors of
     unequal degree never pass.
     """
-    _check_size(graph, a.chips, "divisor")
-    _check_size(graph, b.chips, "divisor")
-    return not any(_reduce_chips(graph, list((a - b).chips), 0))
+    a_chips, b_chips = (_int_entries(graph, d.chips, "divisor") for d in (a, b))
+    return not any(_reduce_chips(graph, [x - y for x, y in zip(a_chips, b_chips)], 0))
 
 
 def effective_representative(graph: Graph, div: Divisor) -> Optional[Divisor]:
@@ -158,13 +151,11 @@ def rank(graph: Graph, div: Divisor) -> int:
     to the ``graph`` object and is freed with it: an equal but distinct
     :class:`Graph` starts with an empty memo.
     """
-    _check_size(graph, div.chips, "divisor")
+    chips = _int_entries(graph, div.chips, "divisor")
     _require_connected(graph)
-    genus = graph.m - graph.n + 1
-    chips, shift = list(div.chips), 0
-    if div.degree > genus - 1:  # the dual K - D has the smaller degree
-        chips = [d - 2 - c for d, c in zip(graph.degrees, chips)]
-        shift = div.degree - genus + 1
+    shift = max(0, sum(chips) - genus(graph) + 1)  # deg D - g + 1 where it is positive
+    if shift:  # the dual K - D has the smaller degree
+        chips = [k - c for k, c in zip(canonical_divisor(graph).chips, chips)]
     if sum(chips) < 0:
         return shift - 1
     return shift + _rank_of_reduced(graph, tuple(_reduce_chips(graph, chips, 0)))
@@ -194,15 +185,28 @@ def parse_firing_script(text: str, n: Optional[int] = None) -> FiringScript:
 
 # -- internals ---------------------------------------------------------------
 
-def _check_size(graph: Graph, values: tuple[int, ...], what: str) -> None:
+def _int_entries(graph: Graph, values: Sequence[int], what: str) -> list[int]:
+    """``values`` as a new list of ints, one per vertex, else a :class:`GonalityError`."""
     if len(values) != graph.n:
         raise GonalityError(f"{what} has {len(values)} entries, graph has {graph.n} vertices")
+    try:
+        return list(map(operator.index, values))
+    except TypeError as exc:
+        raise GonalityError(f"{what} has a non-integer entry: {exc}") from None
 
 
 def _reduced(graph: Graph, div: Divisor, q: int = 0, script: Optional[list[int]] = None) -> list[int]:
-    """Size-checked :func:`_reduce_chips` on a copy of ``div``'s chips."""
-    _check_size(graph, div.chips, "divisor")
-    return _reduce_chips(graph, list(div.chips), q, script)
+    """Checked :func:`_reduce_chips` on a copy of ``div``'s chips."""
+    chips = _int_entries(graph, div.chips, "divisor")
+    return _reduce_chips(graph, chips, _checked_int(q, "reduction", "base vertex"), script)
+
+
+def _fired(graph: Graph, chips: Sequence[int], fires: Sequence[int]) -> list[int]:
+    """``chips`` after each vertex v fires ``fires[v]`` times: v loses
+    ``fires[v] * val(v)`` chips and gains ``fires[u]`` from each neighbor u."""
+    adj = graph.adjacency
+    return [c - f * d + sum(fires[u] for u in adj[v])
+            for v, (c, f, d) in enumerate(zip(chips, fires, graph.degrees))]
 
 
 def _require_connected(graph: Graph) -> None:
@@ -376,8 +380,7 @@ def _jump(graph: Graph, chips: list[int], q: int, script: Optional[list[int]]) -
     lap[q, q] = 1
     x = np.linalg.solve(lap, np.asarray(rhs, dtype=np.float64))
     s = [int(f) for f in np.floor(x).tolist()]
-    adj = graph.adjacency
-    fired = [c - f * d + sum(s[u] for u in adj[v]) for v, (c, f, d) in enumerate(zip(chips, s, deg))]
+    fired = _fired(graph, chips, s)
     if any(c < 0 for v, c in enumerate(fired) if v != q):
         return
     chips[:] = fired

@@ -40,11 +40,12 @@ from .bounds import egg_cuts_reach, maximum_independent_set
 from .divisors import (
     Divisor,
     FiringScript,
-    apply_firing,
     parse_divisor,
     parse_firing_script,
     serialize_divisor,
     serialize_firing_script,
+    _fired,
+    _int_entries,
     _positive_rank_scripts,
 )
 from .errors import (
@@ -76,8 +77,8 @@ class GonalityResult:
     successful one last, or ``n - |I|`` last, unscanned, when the
     independence construction closed it.  Degrees below ``refutation_floor``
     were excluded without scanning, by a caller-supplied certified lower
-    bound or by the edge-scramble bound; the default floor of 1 means
-    everything below the value was refuted by exhaustive enumeration.
+    bound or by the edge-scramble bound; a floor of 1 means everything
+    below the value was refuted by exhaustive enumeration.
     ``certificate`` is ``None`` for disconnected graphs (the value is then
     the sum over components) and for the single-vertex graph.
 
@@ -92,21 +93,27 @@ class GonalityResult:
     value: int
     certificate: Optional[PositiveRankCertificate]
     degrees_searched: tuple[int, ...]
-    refutation_floor: int = 1
     closed_by: str = "scan"
+
+    @property
+    def refutation_floor(self) -> int:
+        """The first degree searched, or 1 where none was."""
+        return self.degrees_searched[0] if self.degrees_searched else 1
 
 
 def verify_certificate(graph: Graph, cert: PositiveRankCertificate) -> bool:
     """Re-check a certificate by direct firing evaluation only.  A divisor,
-    witness list or script of the wrong length fails the check."""
-    lengths = [len(cert.divisor.chips), len(cert.witnesses), *(len(w.fires) for w in cert.witnesses)]
-    if any(k != graph.n for k in lengths):
+    witness list or script of the wrong length, or with a non-integer
+    entry, fails the check."""
+    if len(cert.witnesses) != graph.n:
         return False
-    for v in range(graph.n):
-        fired = apply_firing(graph, cert.divisor.minus_vertex(v), cert.witnesses[v])
-        if not fired.is_effective():
-            return False
-    return True
+    try:
+        chips = _int_entries(graph, cert.divisor.chips, "divisor")
+        scripts = [_int_entries(graph, w.fires, "script") for w in cert.witnesses]
+    except GonalityError:  # a wrong length or a non-integer entry
+        return False
+    # D - v fired by a script is D fired by it, less a chip on v
+    return all(min(f) >= 0 and f[v] >= 1 for v, f in enumerate(_fired(graph, chips, s) for s in scripts))
 
 
 def serialize_certificate(cert: PositiveRankCertificate) -> str:
@@ -204,14 +211,9 @@ def gonality(
         raise GonalityError(f"lower bound {lower_bound} exceeds n - |I| = {cap}")
     comps = graph.components
     if len(comps) > 1:
-        total = 0
-        searched: list[int] = []
-        for comp in comps:
-            sub, _ = induced_subgraph(graph, comp)
-            part = gonality(sub, budget, with_certificate=False)
-            total += part.value
-            searched.extend(part.degrees_searched)
-        return GonalityResult(total, None, tuple(searched), closed_by="components")
+        parts = [gonality(induced_subgraph(graph, comp)[0], budget, with_certificate=False) for comp in comps]
+        return GonalityResult(sum(part.value for part in parts), None,
+                              tuple(d for part in parts for d in part.degrees_searched), closed_by="components")
     if graph.n == 1:
         # convention: the one-vertex graph needs no chips to move, value 0
         return GonalityResult(0, None, (), closed_by="components")
@@ -232,10 +234,10 @@ def gonality(
         searched.append(d)
         if hit is not None:
             cert = _build_certificate(graph, *hit) if with_certificate else None
-            return GonalityResult(d, cert, tuple(searched), refutation_floor=floor)
+            return GonalityResult(d, cert, tuple(searched))
     # theorem degree reached: the independence construction is the witness
     cert = certify_independence_bound(graph, independent) if with_certificate else None
-    return GonalityResult(cap, cert, tuple(searched + [cap]), refutation_floor=floor, closed_by=closed_by)
+    return GonalityResult(cap, cert, tuple(searched + [cap]), closed_by=closed_by)
 
 
 # -- internals ---------------------------------------------------------------
@@ -275,9 +277,10 @@ class _Scan:
     and slot v up to ``val(v) - 1``, the most a q-reduced divisor holds
     there.  ``room[i]`` is the most chips slots i.. can take, and
     ``ways[i, r]`` the number of ways they take exactly r, capped above any
-    chunk.  Where that count fits in the largest chunk ``budget`` allows,
-    the completion table T(i, r) lists those ways in lex order, in the rows
-    of ``table`` from ``starts[i, r]``, for the last ``_TABLE_SLOTS`` slots.
+    chunk, so that int16 holds it.  Where that count fits in the largest
+    chunk ``budget`` allows, the completion table T(i, r) lists those ways
+    in lex order, in the rows of ``table`` from ``starts[i - tabled, r]``,
+    for the last ``_TABLE_SLOTS`` slots, from slot ``tabled`` on.
     A row of T(i, r) is a value c of slot i and a row of T(i + 1, r - c),
     so the tables fill from the last slot back, one gather per slot.
     """
@@ -288,7 +291,7 @@ class _Scan:
         most = _CHUNK_ROWS if budget is None else min(_CHUNK_ROWS, budget)  # rows in a chunk
         self.caps = np.array([top - 1] + [graph.degree(v) - 1 for v in range(1, n)])
         self.room = np.append(self.caps[::-1].cumsum()[::-1], 0)
-        self.ways = ways = np.zeros((n + 1, top), dtype=np.int64)
+        self.ways = ways = np.zeros((n + 1, top), dtype=np.int16)
         ways[n, 0] = 1
         for i in range(n - 1, -1, -1):
             conv = np.convolve(ways[i + 1], np.ones(self.caps[i] + 1, dtype=np.int64))[:top]
@@ -297,15 +300,15 @@ class _Scan:
         self.dtype = np.min_scalar_type(-max(top, n) - 1)
         self.tabled = first = max(0, n - _TABLE_SLOTS)  # the table's first column
         slot, r = np.nonzero((ways[first:n] > 0) & (ways[first:n] <= most))
-        slot += first
-        counts = ways[slot, r]
-        self.starts = np.zeros_like(ways)
+        counts = ways[slot + first, r]
+        self.starts = np.zeros((n + 1 - first, top), dtype=np.int64)  # slots first..n only
         self.starts[slot, r] = counts.cumsum() - counts
+        slot += first
         values, width = self.values(r, slot)
         slot, left = slot.repeat(width), r.repeat(width) - values
         counts = ways[slot + 1, left]
         values = values.repeat(counts)
-        below = _blocks(self.starts[slot + 1, left], counts)  # the row each continues with
+        below = _blocks(self.starts[slot + 1 - first, left], counts)  # the row each continues with
         ends = slot.repeat(counts).searchsorted(np.arange(first, n + 1)).tolist()
         self.table = table = np.zeros((len(values), n - first), dtype=self.dtype)
         for i in range(n - 1, first - 1, -1):
@@ -356,9 +359,9 @@ def _candidate_chunks(scan: _Scan, d: int) -> Iterator[np.ndarray]:
             rows[:, i] = values
             stack.append((rows, left.repeat(width) - values, i + 1))
             continue
-        counts = ways[i, left]
+        counts, j = ways[i, left], i - scan.tabled  # j: slot i's column in the tables
         rows = rows.repeat(counts, axis=0)
-        rows[:, i:] = scan.table.take(_blocks(scan.starts[i, left], counts), axis=0)[:, i - scan.tabled:]
+        rows[:, i:] = scan.table.take(_blocks(scan.starts[j, left], counts), axis=0)[:, j:]
         rows[:, 0] += 1
         emitted += len(rows)
         yield rows

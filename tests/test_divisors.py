@@ -8,6 +8,7 @@ from collections.abc import MutableMapping
 from functools import cached_property
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -584,36 +585,44 @@ class TestJump:
         assert jumped == plain
 
 
+# each public call that checks a divisor or a script, as call(path_graph(3), divisor)
+CHECKED_CALLS = [
+    pytest.param(q_reduce, id="q_reduce"),
+    pytest.param(q_reduce_with_script, id="q_reduce_with_script"),
+    pytest.param(lambda g, d: linearly_equivalent(g, d, divisor(0, 0, 0)), id="linearly_equivalent-first"),
+    pytest.param(lambda g, d: linearly_equivalent(g, divisor(0, 0, 0), d), id="linearly_equivalent-second"),
+    pytest.param(effective_representative, id="effective_representative"),
+    pytest.param(has_positive_rank, id="has_positive_rank"),
+    pytest.param(rank, id="rank"),
+    pytest.param(lambda g, d: apply_firing(g, d, FiringScript.zero(3)), id="apply_firing-divisor"),
+    pytest.param(lambda g, d: apply_firing(g, divisor(0, 0, 0), FiringScript(d.chips)), id="apply_firing-script"),
+]
+NON_INTEGERS = [pytest.param(1.5, id="float"), pytest.param("1", id="str"), pytest.param(None, id="None")]
+
+
 class TestSizeChecks:
     @pytest.mark.parametrize("chips", [(1, 0, 0, 5), (1, 0)], ids=["long", "short"])
-    @pytest.mark.parametrize(
-        "call",
-        [
-            q_reduce,
-            q_reduce_with_script,
-            lambda g, d: linearly_equivalent(g, d, divisor(0, 0, 0)),
-            lambda g, d: linearly_equivalent(g, divisor(0, 0, 0), d),
-            effective_representative,
-            has_positive_rank,
-            rank,
-            lambda g, d: apply_firing(g, d, FiringScript.zero(3)),
-            lambda g, d: apply_firing(g, divisor(0, 0, 0), FiringScript(d.chips)),
-        ],
-        ids=[
-            "q_reduce",
-            "q_reduce_with_script",
-            "linearly_equivalent-first",
-            "linearly_equivalent-second",
-            "effective_representative",
-            "has_positive_rank",
-            "rank",
-            "apply_firing-divisor",
-            "apply_firing-script",
-        ],
-    )
+    @pytest.mark.parametrize("call", CHECKED_CALLS)
     def test_wrong_length_raises(self, call, chips):
         with pytest.raises(GonalityError, match="graph has 3 vertices"):
             call(path_graph(3), Divisor(chips))
+
+    @pytest.mark.parametrize("bad", NON_INTEGERS)
+    @pytest.mark.parametrize("call", CHECKED_CALLS)
+    def test_non_integer_entry_raises(self, call, bad):
+        with pytest.raises(GonalityError, match="non-integer entry"):
+            call(path_graph(3), Divisor((bad, 0, 0)))
+
+    @pytest.mark.parametrize("bad", NON_INTEGERS)
+    @pytest.mark.parametrize("call", [q_reduce, q_reduce_with_script])
+    def test_non_integer_base_vertex_raises(self, call, bad):
+        with pytest.raises(GonalityError, match="integer base vertex"):
+            call(cycle_graph(4), divisor(1, 0, 0, 0), bad)
+
+    def test_integer_like_entries_become_ints(self):
+        d = Divisor((np.int64(2), True, 0))
+        reduced = q_reduce(path_graph(3), d, np.int64(2))
+        assert reduced == divisor(0, 0, 3) and all(type(c) is int for c in reduced.chips)
 
 
 class TestGraphOwnedMemo:

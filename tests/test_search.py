@@ -477,6 +477,18 @@ class TestVerifyCertificate:
             cert = PositiveRankCertificate(cert.divisor, (*cert.witnesses[:2], short, *cert.witnesses[3:]))
         assert verify_certificate(complete_graph(4), cert) is False
 
+    @pytest.mark.parametrize("bad", [1.5, "1", None])
+    @pytest.mark.parametrize("where", ["divisor", "script"])
+    def test_non_integer_entry_is_invalid_not_an_error(self, where, bad):
+        g = complete_graph(4)
+        cert = gonality(g).certificate
+        if where == "divisor":
+            cert = PositiveRankCertificate(Divisor((bad, *cert.divisor.chips[1:])), cert.witnesses)
+        else:
+            fires = FiringScript((bad, *cert.witnesses[2].fires[1:]))
+            cert = PositiveRankCertificate(cert.divisor, (*cert.witnesses[:2], fires, *cert.witnesses[3:]))
+        assert verify_certificate(g, cert) is False
+
 
 class TestRefutationKernel:
     """``search._refutes`` against the scalar reduction: a (row D, chip-free
@@ -585,6 +597,19 @@ class TestScanAllocation:
         exc, peak = self.traced_peak(lambda: gonality(complete_graph(40), budget=10, lower_bound=20))
         assert exc.degrees_refuted == ()
         assert peak < 2**19
+
+    def test_scan_state_of_path_graph_3000(self):
+        """The count table is int16 and the start rows cover the tabled slots
+        only, so the scan's state is about 2 n^2 bytes: 23.3 MiB here."""
+        g = path_graph(3000)
+        g.degrees  # the graph's own state is not the scan's
+        tracemalloc.start()
+        try:
+            search._Scan(g, 2999, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestComplementDivisor:
