@@ -68,8 +68,9 @@ class FiringScript:
 
 
 def divisor(*chips: int) -> Divisor:
-    """Convenience constructor: ``divisor(1, 0, 2)``."""
-    return Divisor(tuple(int(c) for c in chips))
+    """Convenience constructor: ``divisor(1, 0, 2)``.  Raises
+    :class:`GonalityError` for a non-integer entry."""
+    return Divisor(tuple(_ints(chips, "divisor")))
 
 
 def canonical_divisor(graph: Graph) -> Divisor:
@@ -189,6 +190,11 @@ def _int_entries(graph: Graph, values: Sequence[int], what: str) -> list[int]:
     """``values`` as a new list of ints, one per vertex, else a :class:`GonalityError`."""
     if len(values) != graph.n:
         raise GonalityError(f"{what} has {len(values)} entries, graph has {graph.n} vertices")
+    return _ints(values, what)
+
+
+def _ints(values: Sequence[int], what: str) -> list[int]:
+    """``values`` as a new list of ints, else a :class:`GonalityError`."""
     try:
         return list(map(operator.index, values))
     except TypeError as exc:
@@ -259,13 +265,15 @@ def _reduce_chips(graph: Graph, chips: list[int], q: int, script: Optional[list[
 
     Phase 1 clears debt away from q by firing balls around q, pushing chips
     outward layer by layer from the farthest layer inward.  If it ran, and
-    left some vertex far above its valence, :func:`_jump` fires most of the
-    way to the reduced form in one linear solve.  Phase 2 runs Dhar's
-    burning repeatedly, firing the unburnt set U as many times as its chips
-    allow, until the whole graph burns.  Firing U by t moves chips across
-    the cut only, so a round fires the burnt side by -t instead: it costs
-    the burnt side's volume plus the cut, not n plus U's volume, and the
-    script adds the rounds' total t to every entry once at the end.  The
+    left some vertex far above its valence, :func:`_jump` lands every
+    v != q near the middle of its reduced range in one linear solve, and
+    borrows back any debt the landing left.  Phase 2 runs Dhar's burning
+    repeatedly, firing the unburnt set U as many times as its chips allow,
+    until the whole graph burns.  Firing U by t moves chips across the cut
+    only, so a round fires the burnt side by -t instead: it costs the burnt
+    side's volume plus the cut, not n plus U's volume, and the script adds
+    the rounds' total t to every entry once at the end.  Neither the jump
+    nor phase 2 fires q, so the script keeps phase 1's q-entry, and the
     jump changes neither the result nor the script, only how many Dhar
     rounds it takes.  The burn stays scalar beside the batched
     ``search._burn``: run as a 1-row numpy burn, that kernel
@@ -349,18 +357,22 @@ _JUMP_MAX_N = 1024  # the dense solve takes 8 n^2 bytes and O(n^3) time
 def _jump(graph: Graph, chips: list[int], q: int, script: Optional[list[int]]) -> None:
     """Fire ``chips`` (nonnegative away from q) close to q-reduced, in place.
 
-    Solves ``L_q x = chips - val`` off q, with ``x(q) = 0`` and ``L_q`` the
+    A q-reduced divisor holds ``0 .. val(v) - 1`` chips at each v != q, so
+    the jump aims at the middle of that range, ``mid(v) = (val(v) - 1) // 2``.
+    It solves ``L_q x = chips - mid`` off q, with ``x(q) = 0`` and ``L_q`` the
     reduced Laplacian, and fires ``s = floor(x)``: in exact arithmetic every
-    v != q then holds between 1 and ``2 val(v) - 1`` chips.  ``s`` is applied
-    only if exact integer arithmetic shows it leaves no v != q in debt, so
-    float error costs Dhar rounds, never correctness.  Phase 2 never fires
-    q, and only one script with q-entry 0 leads to the reduced divisor, so
-    the chips and script that :func:`_reduce_chips` returns are the same
-    with or without the jump.  Skipped unless some v != q holds at least
-    ``_JUMP_FACTOR * val(v)`` chips, or when a chip count is too large for
-    float64 or the graph too large for a dense solve.  Each jump solves
-    afresh: a reduction jumps at most once, and an inverse kept for reuse
-    costs three solves to build and pages in twice the LAPACK code.
+    v != q then lands strictly within ``val(v)`` of ``mid(v)``.  A landing
+    outside that band can only come from float error, so the jump is turned
+    down there and costs Dhar rounds, never correctness.  A landing inside
+    it may leave some v != q in debt, which :func:`_borrow` clears.  Neither
+    step fires q, and only one script with a given q-entry leads to the
+    reduced divisor, so the chips and script that :func:`_reduce_chips`
+    returns are the same with or without the jump.  Skipped unless some
+    v != q holds at least ``_JUMP_FACTOR * val(v)`` chips, or when a chip
+    count is too large for float64 or the graph too large for a dense solve.
+    Each jump solves afresh: a reduction jumps at most once, and an inverse
+    kept for reuse costs three solves to build and pages in twice the LAPACK
+    code.
     """
     n = graph.n
     # val(v) >= 1, so one max rules out most calls before the exact trigger
@@ -369,7 +381,8 @@ def _jump(graph: Graph, chips: list[int], q: int, script: Optional[list[int]]) -
     deg = graph.degrees
     if all(chips[v] < _JUMP_FACTOR * deg[v] for v in range(n) if v != q):
         return
-    rhs = [c - d for c, d in zip(chips, deg)]
+    mid = [(d - 1) // 2 for d in deg]
+    rhs = [c - m for c, m in zip(chips, mid)]
     rhs[q] = 0
     if max(rhs) >= _JUMP_MAX_CHIPS:
         return
@@ -381,12 +394,36 @@ def _jump(graph: Graph, chips: list[int], q: int, script: Optional[list[int]]) -
     x = np.linalg.solve(lap, np.asarray(rhs, dtype=np.float64))
     s = [int(f) for f in np.floor(x).tolist()]
     fired = _fired(graph, chips, s)
-    if any(c < 0 for v, c in enumerate(fired) if v != q):
+    if any(abs(c - m) >= d for v, (c, m, d) in enumerate(zip(fired, mid, deg)) if v != q):
         return
     chips[:] = fired
     if script is not None:
         for v in range(n):
             script[v] += s[v]
+    _borrow(graph, chips, q, script)
+
+
+def _borrow(graph: Graph, chips: list[int], q: int, script: Optional[list[int]]) -> None:
+    """Clear the debt away from q in place by single-vertex borrowing.
+
+    Each v != q in debt fires ``-k`` times, ``k = ceil(debt / val(v))``, the
+    fewest that clear its debt, and the neighbours this puts into debt wait
+    their turn.  Each borrow is forced, so the script falls monotonically to
+    the greatest debt-free script below where it started, and q never fires.
+    """
+    adj = graph.adjacency
+    deg = graph.degrees
+    todo = [v for v, c in enumerate(chips) if c < 0 and v != q]
+    while todo:
+        v = todo.pop()
+        k = (deg[v] - 1 - chips[v]) // deg[v]
+        chips[v] += k * deg[v]
+        if script is not None:
+            script[v] -= k
+        for u in adj[v]:
+            chips[u] -= k
+            if u != q and chips[u] + k >= 0 > chips[u]:  # u just went into debt
+                todo.append(u)
 
 
 def _positive_rank_scripts(graph: Graph, chips: Sequence[int]) -> Optional[list[list[int]]]:

@@ -10,7 +10,6 @@ lexicographic order; the parser accepts edges in any order.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -200,7 +199,7 @@ class GnpParams:
         return cls(n=n, c=p * n, seed=seed)
 
 
-_DRAW_BLOCK = 1 << 16  # pairs sample_gnp draws at once: 64k floats, about 2 MiB
+_DRAW_BLOCK = 1 << 16  # pairs sample_gnp draws at once: 64k float64s, 512 KiB
 
 
 def sample_gnp(params: GnpParams) -> Graph:
@@ -210,17 +209,25 @@ def sample_gnp(params: GnpParams) -> Graph:
     ``params.seed``.  One uniform real is drawn for each of the n(n-1)/2
     vertex pairs in lexicographic order; the pair becomes an edge when the
     draw is ``< p``.  Identical params therefore give identical graphs on
-    every platform.  Blocks of ``_DRAW_BLOCK`` draws keep memory flat in n.
+    every platform.  Blocks of ``_DRAW_BLOCK`` draws, each turned into edges
+    in numpy, keep memory flat in n.
     """
     n = params.n
     rng = np.random.Generator(np.random.PCG64(params.seed))
-    pairs = itertools.combinations(range(n), 2)
     total = n * (n - 1) // 2
     edges: list[tuple[int, int]] = []
+    # u's pairs (u, v) are the draws end - n + v for u < v < n, where end is
+    # the draw just past u's last pair; the hits come in order, so u only
+    # moves forward
+    u, end = 0, n - 1
     for start in range(0, total, _DRAW_BLOCK):
-        draws = rng.random(min(_DRAW_BLOCK, total - start)).tolist()
-        # draws first: zip then stops without taking a pair past the block
-        edges.extend(e for draw, e in zip(draws, pairs) if draw < params.p)
+        draws = rng.random(min(_DRAW_BLOCK, total - start))
+        for k in (draws < params.p).nonzero()[0].tolist():
+            k += start
+            while k >= end:
+                u += 1
+                end += n - 1 - u
+            edges.append((u, k - end + n))
     return Graph(n, tuple(edges))
 
 

@@ -496,6 +496,20 @@ def random_graph(rnd: random.Random, n: int, p: float) -> Graph:
     return build_graph(n, edges)
 
 
+def grid_graph(rows, cols):
+    def idx(r, c):
+        return r * cols + c
+
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                edges.append((idx(r, c), idx(r, c + 1)))
+            if r + 1 < rows:
+                edges.append((idx(r, c), idx(r + 1, c)))
+    return build_graph(rows * cols, edges)
+
+
 def random_connected_graph(rnd: random.Random, n: int, p: float) -> Graph:
     while True:
         graph = random_graph(rnd, n, p)

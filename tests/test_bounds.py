@@ -48,6 +48,7 @@ from oracles import (
     connected_atlas,
     draw_connected_graph,
     fill_in_width,
+    grid_graph,
     random_graph,
     reference_treewidth,
     _reference_mis,
@@ -56,20 +57,6 @@ from oracles import (
 
 def _is_independent(graph: Graph, vertices) -> bool:
     return all(not (u in vertices and v in vertices) for u, v in graph.edges)
-
-
-def grid_graph(rows, cols):
-    def idx(r, c):
-        return r * cols + c
-
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((idx(r, c), idx(r, c + 1)))
-            if r + 1 < rows:
-                edges.append((idx(r, c), idx(r + 1, c)))
-    return build_graph(rows * cols, edges)
 
 
 class TestValidator:

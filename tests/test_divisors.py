@@ -48,6 +48,7 @@ from oracles import (
     equivalent_images,
     exact_equivalent,
     fire_script,
+    grid_graph,
     is_q_reduced,
     random_connected_graph,
     reference_rank,
@@ -584,6 +585,51 @@ class TestJump:
         assert jumps == [False]
         assert jumped == plain
 
+    def test_landings_in_debt_borrow_to_the_reference(self, monkeypatch):
+        """Jump-sized piles on paths, cycles, grids, complete graphs and
+        sparse random graphs, reduced at every base, against the reference.
+        The jump lands around the middle of the reduced range, so some
+        landings leave debt and must be borrowed back."""
+        landed_in_debt = []
+        borrow = divisors._borrow
+
+        def spy(graph, chips, q, script):
+            landed_in_debt.append(any(c < 0 for v, c in enumerate(chips) if v != q))
+            borrow(graph, chips, q, script)
+
+        monkeypatch.setattr(divisors, "_borrow", spy)
+
+        def sparse(n, rnd):
+            edges = {(rnd.randrange(v), v) for v in range(1, n)}
+            for _ in range(n // 4):
+                u, v = sorted(rnd.sample(range(n), 2))
+                edges.add((u, v))
+            return build_graph(n, sorted(edges))
+
+        families = [
+            lambda data, rnd: path_graph(data.draw(st.integers(2, 40))),
+            lambda data, rnd: cycle_graph(data.draw(st.integers(3, 40))),
+            lambda data, rnd: grid_graph(data.draw(st.integers(2, 6)), data.draw(st.integers(2, 6))),
+            lambda data, rnd: complete_graph(data.draw(st.integers(2, 12))),
+            lambda data, rnd: sparse(data.draw(st.integers(2, 40)), rnd),
+        ]
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+        @given(st.data())
+        def check(data):
+            rnd = random.Random(data.draw(st.integers(0, 2**32)))
+            g = data.draw(st.sampled_from(families))(data, rnd)
+            chips = [rnd.randint(-3, 3) for _ in range(g.n)]
+            for _ in range(data.draw(st.integers(1, 3))):
+                v = rnd.randrange(g.n)
+                chips[v] += divisors._JUMP_FACTOR * g.degree(v) * data.draw(st.integers(1, 6))
+            for q in range(g.n):
+                red, script = q_reduce_with_script(g, Divisor(tuple(chips)), q)
+                assert (red.chips, script.fires) == reference_reduce(g, chips, q)
+
+        check()
+        assert sum(landed_in_debt) >= 10
+
 
 # each public call that checks a divisor or a script, as call(path_graph(3), divisor)
 CHECKED_CALLS = [
@@ -618,6 +664,11 @@ class TestSizeChecks:
     def test_non_integer_base_vertex_raises(self, call, bad):
         with pytest.raises(GonalityError, match="integer base vertex"):
             call(cycle_graph(4), divisor(1, 0, 0, 0), bad)
+
+    @pytest.mark.parametrize("bad", NON_INTEGERS)
+    def test_divisor_constructor_refuses_non_integers(self, bad):
+        with pytest.raises(GonalityError, match="non-integer entry"):
+            divisor(bad, 0, 0)
 
     def test_integer_like_entries_become_ints(self):
         d = Divisor((np.int64(2), True, 0))
