@@ -109,69 +109,38 @@ def validate_tree_decomposition(graph: Graph, td: TreeDecomposition) -> Validati
 _TW_MAX_N = 24
 
 
-def treewidth_exact(graph: Graph, size_limit: int = 16) -> tuple[int, TreeDecomposition]:
-    """Exact treewidth with a witness decomposition.
+def treewidth_exact(graph: Graph, size_limit: int = 16, *,
+                    with_decomposition: bool = True) -> tuple[int, Optional[TreeDecomposition]]:
+    """Exact treewidth, with a witness decomposition unless
+    ``with_decomposition`` is False.
 
-    Dynamic programming over subsets of eliminated vertices (Bodlaender,
-    Fomin, Koster, Kratsch and Thilikos, TALG 2012): the width of the best
-    elimination order with prefix S satisfies
-    ``f(S) = min_v max(f(S - v), |Q(S - v, v)|)`` where ``Q(S, v)`` is the
-    set of vertices outside ``S + v`` that v reaches through S.  Every v in
-    one component K of ``G[S]`` has the same ``Q(S - v, v) = N(K) - S``, so
-    ``f(S) = min_K max(|N(K) - S|, min_{v in K} f(S - v))``: one search per
-    component.  A component is grown one breadth-first layer per step, the
-    neighbourhood of a mask looked up in two tables of 2^(n/2) entries, one
-    for its low half of the vertex bits and one for its high half.  The
-    widths, at most 23, fill one ``bytearray``.  The order is read back
-    from the table from the full set down, at each step the least v that
-    attains ``f(S)``, and made into bags by :func:`_decomposition_from_order`.
-    Refuses graphs above ``size_limit``, or above the ceiling ``_TW_MAX_N``
-    whatever the limit, before allocating.
+    The widths come from :func:`_width_table`'s subset DP.  The witness
+    path runs it on the whole graph and reads the elimination order back
+    from its table, from the full set down, at each step the least v that
+    attains ``f(S)``, and makes it into bags by
+    :func:`_decomposition_from_order`.  The width path (``(width, None)``)
+    runs it on each biconnected block of three or more vertices alone: a
+    cut vertex is a safe separator (Bodlaender and Koster, Discrete Math.
+    2006), so the width is the largest block width: 1 on a forest with an
+    edge, 0 with none, and -1 on the empty graph.  Only the witness path
+    needs the whole graph's 2^n table, but both refuse graphs above
+    ``size_limit``, or above the ceiling ``_TW_MAX_N`` whatever the limit,
+    before any work.
     """
     n = graph.n
     limit = min(_checked_int(size_limit, "treewidth_exact", "size limit", 0), _TW_MAX_N)
     if n > limit:
         raise SizeLimitError(f"treewidth_exact limited to n <= {limit}, got {n}")
     if n == 0:
-        return -1, TreeDecomposition((frozenset(),), ())
+        return -1, TreeDecomposition((frozenset(),), ()) if with_decomposition else None
+    if not with_decomposition:
+        widths = [_width_table(induced_subgraph(graph, block)[0].adjacency_bits)[-1]
+                  for block in _blocks(graph.adjacency_bits) if len(block) > 2]
+        return max(widths, default=1 if graph.m else 0), None
     adj = graph.adjacency_bits
-    half = n // 2
-    low_mask = (1 << half) - 1
-    low_nb, high_nb = _neighbourhood_table(adj[:half]), _neighbourhood_table(adj[half:])
-    size = 1 << n
-    f = bytearray(size)
-    for s in range(1, size):
-        best = n
-        rest = s
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if f[s ^ low] >= best:
-                continue
-            # v's component of G[s], one layer at a time, and its neighbours
-            comp, grow = 0, low
-            while grow:
-                comp |= grow
-                nb = low_nb[comp & low_mask] | high_nb[comp >> half]
-                grow = nb & s & ~comp
-            rest &= ~comp
-            back = (nb & ~s).bit_count()
-            if back >= best:
-                continue
-            # the component's min of f(s - v); nothing in it goes below back
-            m = comp
-            while m:
-                bit = m & -m
-                m ^= bit
-                w = f[s ^ bit]
-                if w < best:
-                    if w <= back:
-                        best = back
-                        break
-                    best = w
-        f[s] = best
+    f = _width_table(adj)
     order = []
-    s = size - 1
+    s = len(f) - 1
     while s:
         v = next((v for v in range(n) if s >> v & 1 and f[s ^ 1 << v] <= f[s]
                   and _reach_through(adj, s ^ 1 << v, v).bit_count() <= f[s]), None)
@@ -181,9 +150,9 @@ def treewidth_exact(graph: Graph, size_limit: int = 16) -> tuple[int, TreeDecomp
         s ^= 1 << v
     order.reverse()
     td = _decomposition_from_order(graph, order)
-    if td.width != f[size - 1]:
+    if td.width != f[-1]:
         raise GonalityError("decomposition width disagrees with DP value; this is a bug")
-    return f[size - 1], td
+    return f[-1], td
 
 
 treewidth_lower_bound = degeneracy  # certified, and it dominates the minimum degree
@@ -394,8 +363,8 @@ def _reach_through(adj: tuple[int, ...], prefix: int, v: int) -> int:
     """Q(prefix, v) as a bitmask: the vertices outside ``prefix + v`` that v
     reaches through paths whose inner vertices all lie in ``prefix``.  That
     is ``N(K) - S`` for ``S = prefix + v`` and K the component of v in
-    ``G[S]``, the same for every v of K, which :func:`treewidth_exact`'s DP
-    relies on."""
+    ``G[S]``, the same for every v of K, which :func:`_width_table` relies
+    on."""
     comp = 1 << v
     nb = adj[v]
     while True:
@@ -408,6 +377,105 @@ def _reach_through(adj: tuple[int, ...], prefix: int, v: int) -> int:
             nb |= adj[low.bit_length() - 1]
             grow ^= low
     return nb & ~prefix & ~(1 << v)
+
+
+def _width_table(adj: tuple[int, ...]) -> bytearray:
+    """``f(S)`` for every subset S of the n > 0 vertices: the width of the
+    best elimination order with prefix S.
+
+    Dynamic programming over subsets of eliminated vertices (Bodlaender,
+    Fomin, Koster, Kratsch and Thilikos, TALG 2012):
+    ``f(S) = min_v max(f(S - v), |Q(S - v, v)|)`` where ``Q(S, v)`` is the
+    set of vertices outside ``S + v`` that v reaches through S.  Every v in
+    one component K of ``G[S]`` has the same ``Q(S - v, v) = N(K) - S``, so
+    ``f(S) = min_K max(|N(K) - S|, min_{v in K} f(S - v))``: one search per
+    component.  A component is grown one breadth-first layer per step, the
+    neighbourhood of a mask looked up in two tables of 2^(n/2) entries, one
+    for its low half of the vertex bits and one for its high half.  The
+    widths, at most 23, fill one ``bytearray``; the last is the treewidth.
+    """
+    n = len(adj)
+    half = n // 2
+    low_mask = (1 << half) - 1
+    low_nb, high_nb = _neighbourhood_table(adj[:half]), _neighbourhood_table(adj[half:])
+    size = 1 << n
+    f = bytearray(size)
+    for s in range(1, size):
+        best = n
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if f[s ^ low] >= best:
+                continue
+            # v's component of G[s], one layer at a time, and its neighbours
+            comp, grow = 0, low
+            while grow:
+                comp |= grow
+                nb = low_nb[comp & low_mask] | high_nb[comp >> half]
+                grow = nb & s & ~comp
+            rest &= ~comp
+            back = (nb & ~s).bit_count()
+            if back >= best:
+                continue
+            # the component's min of f(s - v); nothing in it goes below back
+            m = comp
+            while m:
+                bit = m & -m
+                m ^= bit
+                w = f[s ^ bit]
+                if w < best:
+                    if w <= back:
+                        best = back
+                        break
+                    best = w
+        f[s] = best
+    return f
+
+
+def _blocks(adj: tuple[int, ...]) -> list[list[int]]:
+    """The vertex lists of the biconnected blocks, bridges included and
+    isolated vertices left out, by Hopcroft and Tarjan's depth-first search
+    (CACM 1973) with explicit stacks: when the search leaves v for its
+    parent u and nothing below v reaches above u (``low[v] >= disc[u]``),
+    the vertices pushed since v, and u, are a block."""
+    n = len(adj)
+    disc = [0] * n  # 1 + discovery index; 0 while unvisited
+    low = [0] * n
+    blocks = []
+    clock = 0
+    for root in range(n):
+        if disc[root]:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        # visited vertices not yet in a block; the search path, each with its untried neighbours
+        pushed, path, untried = [root], [root], [adj[root]]
+        while path:
+            v, rest = path[-1], untried[-1]
+            if rest:
+                bit = rest & -rest
+                untried[-1] = rest ^ bit
+                w = bit.bit_length() - 1
+                if disc[w]:
+                    low[v] = min(low[v], disc[w])
+                else:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    pushed.append(w)
+                    path.append(w)
+                    untried.append(adj[w])
+                continue
+            path.pop()
+            untried.pop()
+            if path:
+                u = path[-1]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    cut = pushed.index(v)
+                    blocks.append([u, *pushed[cut:]])
+                    del pushed[cut:]
+    return blocks
 
 
 def _neighbourhood_table(adj: tuple[int, ...]) -> list[int]:

@@ -101,7 +101,7 @@ def _cmd_bounds(args) -> int:
         print(f"min_degree {min_degree(graph)}")
         print(f"tw_lb {treewidth_lower_bound(graph)}")
         if graph.n <= tw_limit:
-            tw, td = treewidth_exact(graph, tw_limit)
+            tw, td = treewidth_exact(graph, tw_limit, with_decomposition=td_out is not None)
             print(f"tw_exact {tw}")
         else:
             print(f"tw_exact skipped: n > {tw_limit}")

@@ -137,9 +137,11 @@ class TrialRecord:
 
 
 def _one_of(cell: str, allowed: tuple[str, ...]) -> str:
+    """The entry of ``allowed`` equal to ``cell``, so that every row read
+    shares it rather than holding its own copy."""
     if cell not in allowed:
         raise ValueError(f"{cell!r} is not one of {', '.join(allowed)}")
-    return cell
+    return allowed[allowed.index(cell)]
 
 
 def _optional(write, read):
@@ -222,7 +224,8 @@ def run_trial(
     record_timings: bool = False,
 ) -> TrialRecord:
     """Sample one graph and measure every column for its row.  Exact
-    treewidth stops at ``treewidth_exact``'s own size limit."""
+    treewidth, the width alone, stops at ``treewidth_exact``'s own size
+    limit."""
     params = GnpParams.from_p(n, p, seed)
     graph = sample_gnp(params)
     connected = graph.is_connected()
@@ -237,7 +240,7 @@ def run_trial(
     t0 = time.perf_counter()
     tw_lb = treewidth_lower_bound(graph)
     try:
-        tw_ex: Optional[int] = treewidth_exact(graph)[0]
+        tw_ex: Optional[int] = treewidth_exact(graph, with_decomposition=False)[0]
     except SizeLimitError:
         tw_ex = None
     ms_tw = (time.perf_counter() - t0) * 1000.0

@@ -271,6 +271,90 @@ class TestTreewidthWitness:
             assert td.width == max(widths) == fill_in_width(g, order)
 
 
+class TestTreewidthWidthPath:
+    """``with_decomposition=False`` runs the DP per biconnected block and
+    returns the width alone; the per-(S, v) reference DP on the whole
+    graph checks it."""
+
+    @pytest.mark.parametrize("name", sorted(_NAMED_GRAPHS))
+    def test_matches_reference_dp_on_named_graphs(self, name):
+        graph = _NAMED_GRAPHS[name]
+        assert treewidth_exact(graph, with_decomposition=False) == (reference_treewidth(graph)[0], None)
+
+    def test_matches_reference_dp_on_witness_corpus(self):
+        for g in _witness_corpus():
+            assert treewidth_exact(g, with_decomposition=False)[0] == reference_treewidth(g)[0], g.edges
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.data())
+    def test_gluing_at_a_vertex_or_by_a_bridge_keeps_the_larger_width(self, data):
+        parts = [_draw_graph(data, 7) for _ in range(2)]
+        a, b = (data.draw(st.integers(0, g.n - 1)) for g in parts)
+        bridge = data.draw(st.booleans())
+        # g2's vertices follow g1's; when glued, b becomes a and the rest close up
+        n1 = parts[0].n
+        label = [x if bridge or x < b else x - 1 for x in range(parts[1].n)]
+        label = [n1 + x for x in label]
+        if not bridge:
+            label[b] = a
+        edges = [*parts[0].edges, *((label[u], label[v]) for u, v in parts[1].edges)]
+        if bridge:
+            edges.append((a, label[b]))
+        n = n1 + parts[1].n - (not bridge)
+        shuffle = data.draw(st.permutations(range(n)))
+        g = build_graph(n, [(shuffle[u], shuffle[v]) for u, v in edges])
+        widths = [reference_treewidth(part)[0] for part in parts]
+        assert treewidth_exact(g, with_decomposition=False)[0] == max(*widths, int(bridge))
+
+    def test_empty_edgeless_and_forests(self):
+        assert treewidth_exact(build_graph(0, []), with_decomposition=False) == (-1, None)
+        for n in (1, 2, 9):
+            assert treewidth_exact(build_graph(n, []), with_decomposition=False) == (0, None)
+        assert treewidth_exact(complete_graph(2), with_decomposition=False) == (1, None)
+        rnd = random.Random(71)
+        for _ in range(30):
+            n = rnd.randint(2, 16)
+            # a random forest: each vertex joins an earlier one or starts a tree
+            edges = [(rnd.randrange(v), v) for v in range(1, n) if rnd.random() < 0.8]
+            g = build_graph(n, edges)
+            assert treewidth_exact(g, with_decomposition=False) == (1 if edges else 0, None)
+
+    def test_size_limits_hold_before_the_blocks(self):
+        with pytest.raises(SizeLimitError, match="n <= 24, got 64"):
+            treewidth_exact(path_graph(64), 64, with_decomposition=False)
+        with pytest.raises(SizeLimitError):
+            treewidth_exact(path_graph(17), with_decomposition=False)
+
+    def test_dp_runs_on_blocks_of_three_or_more(self, monkeypatch):
+        # two 4-cycles sharing vertex 3, a bridge 6-7, and a triangle 7-8-9
+        # hanging off it, then a pendant vertex 10 and an isolated 11
+        g = build_graph(12, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6), (6, 3),
+                             (6, 7), (7, 8), (8, 9), (9, 7), (9, 10)])
+        sizes = []
+        kernel = bounds._width_table
+        monkeypatch.setattr(bounds, "_width_table", lambda adj: sizes.append(len(adj)) or kernel(adj))
+        assert treewidth_exact(g, with_decomposition=False) == (2, None)
+        assert sorted(sizes) == [3, 4, 4]
+
+    def test_twenty_four_vertices_in_small_blocks(self):
+        # at the ceiling, the whole-graph DP would fill 2^24 subsets; the
+        # blocks, a 2 x 6 grid (width 2) and a 3 x 4 grid (width 3) joined
+        # by a bridge, need 2^12 each
+        grid = [(12 + u, 12 + v) for u, v in grid_graph(3, 4).edges]
+        g = build_graph(24, [*grid_graph(2, 6).edges, *grid, (11, 12)])
+        assert treewidth_lower_bound(g) == 2
+        assert treewidth_exact(g, 24, with_decomposition=False) == (3, None)
+
+
+def _draw_graph(data, max_n: int) -> Graph:
+    """A graph on 1 to ``max_n`` vertices drawn through hypothesis's
+    ``data``, connected or not."""
+    n = data.draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
 class TestTreewidthLowerBound:
     def test_complete(self):
         for n in range(2, 8):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from gonality import cli
 from gonality import (
     CSV_HEADER,
+    build_graph,
     complete_graph,
     cycle_graph,
     gonality,
@@ -19,6 +20,8 @@ from gonality import (
     path_graph,
     serialize_certificate,
     serialize_graph,
+    serialize_tree_decomposition,
+    treewidth_exact,
 )
 from gonality.cli import main
 
@@ -128,6 +131,26 @@ class TestBoundsCommand:
         assert main(["bounds", p5_file, "--td-out", str(td_path)]) == 0
         header = td_path.read_text().splitlines()[0]
         assert header == "5 1"
+
+    @pytest.mark.parametrize("graph", [
+        path_graph(5), cycle_graph(6), complete_graph(5), build_graph(0, []), build_graph(3, []),
+        build_graph(9, [(0, 1), (0, 2), (1, 2), (4, 5), (6, 7), (7, 8), (8, 6), (6, 5)]),
+        build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6), (6, 3)]),
+    ])
+    def test_width_path_unless_a_witness_is_asked_for(self, graph, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "g.edges"
+        path.write_text(serialize_graph(graph))
+        asked = []
+        real = cli.treewidth_exact
+        monkeypatch.setattr(cli, "treewidth_exact",
+                            lambda *a, **kw: asked.append(kw["with_decomposition"]) or real(*a, **kw))
+        assert main(["bounds", str(path)]) == 0
+        plain = capsys.readouterr().out
+        td_path = tmp_path / "g.td"
+        assert main(["bounds", str(path), "--td-out", str(td_path)]) == 0
+        assert capsys.readouterr().out == plain
+        assert asked == [False, True]
+        assert td_path.read_text() == serialize_tree_decomposition(treewidth_exact(graph)[1])
 
 
 class TestSampleCommand:

@@ -19,6 +19,7 @@ from gonality import (
     summarize,
     write_records_csv,
 )
+from gonality.experiments import MODES
 
 
 class TestSeedMixing:
@@ -164,6 +165,12 @@ class TestRunExperiment:
         back = read_records_csv(path)
         assert back == records
         assert summarize(back) == summary
+
+    def test_read_rows_share_the_mode_string(self, tmp_path):
+        path = str(tmp_path / "run.csv")
+        run_experiment(small_config(), path)
+        back = read_records_csv(path)
+        assert back and all(r.mode is MODES[0] for r in back)
 
     def test_rows_sorted_and_complete(self, tmp_path):
         path = str(tmp_path / "run.csv")
