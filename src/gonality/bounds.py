@@ -1,6 +1,6 @@
 """Bounding machinery: exact treewidth, tree-decomposition validation,
-maximum independent sets, the edge-scramble cut test, and the random-graph
-independence estimate.
+maximum independent sets, a sufficient edge-scramble cut test, and the
+random-graph independence estimate.
 
 Treewidth and the edge scramble bound gonality from below; ``n - alpha``
 bounds it from above.  Treewidth and ``n - alpha`` come with checkable
@@ -118,14 +118,12 @@ def treewidth_exact(graph: Graph, size_limit: int = 16, *,
     path runs it on the whole graph and reads the elimination order back
     from its table, from the full set down, at each step the least v that
     attains ``f(S)``, and makes it into bags by
-    :func:`_decomposition_from_order`.  The width path (``(width, None)``)
-    runs it on each biconnected block of three or more vertices alone: a
-    cut vertex is a safe separator (Bodlaender and Koster, Discrete Math.
-    2006), so the width is the largest block width: 1 on a forest with an
-    edge, 0 with none, and -1 on the empty graph.  Only the witness path
-    needs the whole graph's 2^n table, but both refuse graphs above
-    ``size_limit``, or above the ceiling ``_TW_MAX_N`` whatever the limit,
-    before any work.
+    :func:`_decomposition_from_order`.  The width path (``(width, None)``,
+    -1 on the empty graph) splits the graph at its cut vertices and runs
+    the DP on each block of three or more vertices alone
+    (:func:`_split_width`).  Only the witness path needs the whole graph's
+    2^n table, but both refuse graphs above ``size_limit``, or above the
+    ceiling ``_TW_MAX_N`` whatever the limit, before any work.
     """
     n = graph.n
     limit = min(_checked_int(size_limit, "treewidth_exact", "size limit", 0), _TW_MAX_N)
@@ -133,11 +131,9 @@ def treewidth_exact(graph: Graph, size_limit: int = 16, *,
         raise SizeLimitError(f"treewidth_exact limited to n <= {limit}, got {n}")
     if n == 0:
         return -1, TreeDecomposition((frozenset(),), ()) if with_decomposition else None
-    if not with_decomposition:
-        widths = [_width_table(induced_subgraph(graph, block)[0].adjacency_bits)[-1]
-                  for block in _blocks(graph.adjacency_bits) if len(block) > 2]
-        return max(widths, default=1 if graph.m else 0), None
     adj = graph.adjacency_bits
+    if not with_decomposition:
+        return _split_width(adj, (1 << n) - 1), None
     f = _width_table(adj)
     order = []
     s = len(f) - 1
@@ -159,8 +155,9 @@ treewidth_lower_bound = degeneracy  # certified, and it dominates the minimum de
 
 
 def egg_cuts_reach(graph: Graph, k: int) -> bool:
-    """Whether every edge cut ``δ(A)`` with an edge inside A and an edge
-    inside ``V - A`` has at least k edges (true when no such A exists).
+    """A sufficient test that every edge cut ``δ(A)`` with an edge inside A
+    and an edge inside ``V - A`` has at least k edges (true when no such A
+    exists).  ``True`` proves it; ``False`` proves nothing.
 
     This is the egg-cut half of the edge scramble, whose eggs are the
     edges: its hitting number is the vertex cover number ``n - alpha``, and
@@ -169,34 +166,21 @@ def egg_cuts_reach(graph: Graph, k: int) -> bool:
     arXiv:2006.01020), so on a connected graph where this holds for
     ``k = n - alpha``, gonality is exactly ``n - alpha``.
 
-    Three stages, each polynomial.  An edge uv whose two ends have fewer
-    than k other edges, with an edge clear of both ends, is a cut below k.
-    A set of j vertices has a cut of at least its j smallest degrees less
-    ``j - 1`` each (never below 0), so when every size 2 to n - 2 has that
-    floor at k on itself or its complement, every cut reaches k.  Otherwise
-    the cuts are checked by unit-capacity flows: a smallest valid A may be
-    taken to hold a least-degree vertex s that has an edge, and then s has
-    a neighbour in A (else moving s out would shrink the cut), so it is
-    enough to separate each edge at s from each edge clear of it.
+    The test reads the degrees alone.  A set of j vertices has a cut of at
+    least its j smallest degrees less ``j - 1`` each (never below 0), so
+    when every size 2 to n - 2 has that floor at k on itself or its
+    complement, every cut reaches k.  Where the floors fall short, the
+    answer is ``False`` whether or not a cut does.
     """
-    n, m = graph.n, graph.m
-    deg = graph.degrees
-    for u, v in graph.edges:
-        if deg[u] + deg[v] - 2 < k and m - deg[u] - deg[v] + 1 > 0:
-            return False
-    ds = sorted(deg)
-    floors = [sum(max(0, d - j + 1) for d in ds[:j]) for j in range(n + 1)]
-    if all(max(floors[j], floors[n - j]) >= k for j in range(2, n - 1)):
-        return True
-    adj = graph.adjacency_bits
-    s = min(range(n), key=lambda v: (not deg[v], deg[v]))
-    for w in graph.adjacency[s]:
-        source = 1 << s | 1 << w
-        for a, b in graph.edges:
-            sink = 1 << a | 1 << b
-            if not source & sink and not _disjoint_paths_reach(adj, source, sink, k):
-                return False
-    return True
+    k = _checked_int(k, "egg_cuts_reach", "k")
+    n = graph.n
+    ds = sorted(graph.degrees)
+
+    def floor(j: int) -> int:
+        return sum(max(0, d - j + 1) for d in ds[:j])
+
+    # each floor on demand: a sparse graph falls short at j = 2
+    return all(max(floor(j), floor(n - j)) >= k for j in range(2, n - 1))
 
 
 def maximum_independent_set(graph: Graph, budget: Optional[int] = None) -> MISResult:
@@ -304,8 +288,7 @@ def frieze_alpha_estimate(n: int, c: float) -> float:
     finite; any other c, NaN included, is outside the estimate's regime and
     rejected.
     """
-    if n < 1:
-        raise GonalityError(f"need n >= 1, got {n}")
+    n = _checked_int(n, "frieze_alpha_estimate", "n", 1)
     if not math.e < c < math.inf:
         raise GonalityError(f"estimate needs a finite c > e ~ 2.718, got {c}")
     p = c / n
@@ -359,24 +342,53 @@ def parse_tree_decomposition(text: str) -> TreeDecomposition:
 
 # -- internals ---------------------------------------------------------------
 
+def _component(adj: tuple[int, ...], s: int, low: int) -> tuple[int, int]:
+    """The component of ``G[s]`` holding the vertex bit ``low`` (nothing for
+    ``low = 0``), and the union of its vertices' neighbourhoods, as
+    bitmasks."""
+    comp = nb = 0
+    grow = low
+    while grow:
+        comp |= grow
+        while grow:
+            bit = grow & -grow
+            nb |= adj[bit.bit_length() - 1]
+            grow ^= bit
+        grow = nb & s & ~comp
+    return comp, nb
+
+
 def _reach_through(adj: tuple[int, ...], prefix: int, v: int) -> int:
     """Q(prefix, v) as a bitmask: the vertices outside ``prefix + v`` that v
     reaches through paths whose inner vertices all lie in ``prefix``.  That
     is ``N(K) - S`` for ``S = prefix + v`` and K the component of v in
     ``G[S]``, the same for every v of K, which :func:`_width_table` relies
     on."""
-    comp = 1 << v
-    nb = adj[v]
-    while True:
-        grow = nb & prefix & ~comp
-        if not grow:
-            break
-        comp |= grow
-        while grow:
-            low = grow & -grow
-            nb |= adj[low.bit_length() - 1]
-            grow ^= low
-    return nb & ~prefix & ~(1 << v)
+    s = prefix | 1 << v
+    return _component(adj, s, 1 << v)[1] & ~s
+
+
+def _split_width(adj: tuple[int, ...], s: int) -> int:
+    """The treewidth of ``G[s]`` for a non-empty vertex mask s.
+
+    Where no vertex, or one vertex v, separates ``G[s]``, the component
+    ``side`` of ``G[s - v]`` that holds its least vertex meets the rest in
+    v alone, a clique and so a safe separator (Bodlaender and Koster,
+    Discrete Math. 2006): the width is the larger of those of
+    ``G[side + v]`` and ``G[s - side]``, which both keep v.  What nothing
+    separates is a block, of width ``|s| - 1`` below three vertices and
+    otherwise :func:`_width_table`'s on ``G[s]`` alone.
+    """
+    vertices = [v for v in range(len(adj)) if s >> v & 1]
+    for v in (0, *(1 << u for u in vertices)):
+        rest = s ^ v
+        side = _component(adj, rest, rest & -rest)[0]
+        if side != rest:
+            return max(_split_width(adj, side | v), _split_width(adj, s ^ side))
+    if len(vertices) < 3:
+        return len(vertices) - 1
+    return _width_table(tuple(sum(1 << j for j, w in enumerate(vertices) if adj[u] >> w & 1)
+                              for u in vertices))[-1]
 
 
 def _width_table(adj: tuple[int, ...]) -> bytearray:
@@ -433,93 +445,12 @@ def _width_table(adj: tuple[int, ...]) -> bytearray:
     return f
 
 
-def _blocks(adj: tuple[int, ...]) -> list[list[int]]:
-    """The vertex lists of the biconnected blocks, bridges included and
-    isolated vertices left out, by Hopcroft and Tarjan's depth-first search
-    (CACM 1973) with explicit stacks: when the search leaves v for its
-    parent u and nothing below v reaches above u (``low[v] >= disc[u]``),
-    the vertices pushed since v, and u, are a block."""
-    n = len(adj)
-    disc = [0] * n  # 1 + discovery index; 0 while unvisited
-    low = [0] * n
-    blocks = []
-    clock = 0
-    for root in range(n):
-        if disc[root]:
-            continue
-        clock += 1
-        disc[root] = low[root] = clock
-        # visited vertices not yet in a block; the search path, each with its untried neighbours
-        pushed, path, untried = [root], [root], [adj[root]]
-        while path:
-            v, rest = path[-1], untried[-1]
-            if rest:
-                bit = rest & -rest
-                untried[-1] = rest ^ bit
-                w = bit.bit_length() - 1
-                if disc[w]:
-                    low[v] = min(low[v], disc[w])
-                else:
-                    clock += 1
-                    disc[w] = low[w] = clock
-                    pushed.append(w)
-                    path.append(w)
-                    untried.append(adj[w])
-                continue
-            path.pop()
-            untried.pop()
-            if path:
-                u = path[-1]
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    cut = pushed.index(v)
-                    blocks.append([u, *pushed[cut:]])
-                    del pushed[cut:]
-    return blocks
-
-
 def _neighbourhood_table(adj: tuple[int, ...]) -> list[int]:
     """The union of ``adj[i]`` over the bits i of each mask below 2^len(adj)."""
     table = [0]
     for row in adj:
         table += [nb | row for nb in table]
     return table
-
-
-def _disjoint_paths_reach(adj: tuple[int, ...], source: int, sink: int, k: int) -> bool:
-    """Whether k edge-disjoint paths join the vertex sets ``source`` and
-    ``sink`` (bitmasks), by k breadth-first augmentations at most."""
-    n = len(adj)
-    sent = [0] * n  # bit v of sent[u]: one unit of net flow along u -> v
-    for _ in range(k):
-        parent = [-1] * n
-        seen = frontier = source
-        while frontier and not seen & sink:
-            grown = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                u = low.bit_length() - 1
-                new = adj[u] & ~sent[u] & ~seen & ~grown
-                grown |= new
-                while new:
-                    low = new & -new
-                    new ^= low
-                    parent[low.bit_length() - 1] = u
-            seen |= grown
-            frontier = grown
-        reached = seen & sink
-        if not reached:
-            return False
-        v = (reached & -reached).bit_length() - 1
-        while parent[v] >= 0:
-            u = parent[v]
-            if sent[v] >> u & 1:
-                sent[v] ^= 1 << u
-            else:
-                sent[u] |= 1 << v
-            v = u
-    return True
 
 
 def _decomposition_from_order(graph: Graph, order: list[int]) -> TreeDecomposition:

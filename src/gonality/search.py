@@ -184,12 +184,13 @@ def gonality(
     positive-rank divisor, the value is ``n - |I|``, witnessed by the
     independence construction without a scan; for an empty I that cap,
     ``n``, is never reached on a connected graph.  For a non-empty I the
-    edge-scramble bound is tried first: when every cut with an edge on
-    each side has at least ``n - |I|`` edges (:func:`egg_cuts_reach`) and
-    ``|I|`` is the independence number, the value is ``n - |I|`` with no
-    degree scanned.  With the defaults the search is a pure exhaustive
-    scan from degree 1.  Both accelerators are checked on every graph: a
-    set that is not independent raises :class:`GonalityError`
+    edge-scramble bound is tried first: when the degree floors of
+    :func:`egg_cuts_reach` prove that every cut with an edge on each side
+    has at least ``n - |I|`` edges and ``|I|`` is the independence number,
+    the value is ``n - |I|`` with no degree scanned; otherwise the scan
+    runs.  With the defaults the search is a pure exhaustive scan from
+    degree 1.  Both accelerators are checked on every graph: a set that
+    is not independent raises :class:`GonalityError`
     (:class:`NotIndependentError` for an edge inside it), and so does a
     ``lower_bound`` above ``n - |I|``, which no gonality exceeds (the
     default 1 always stands).

@@ -25,6 +25,7 @@ from gonality import (
     degeneracy,
     egg_cuts_reach,
     frieze_alpha_estimate,
+    gonality,
     maximum_independent_set,
     min_degree,
     mix_trial_seed,
@@ -325,6 +326,10 @@ class TestTreewidthWidthPath:
         with pytest.raises(SizeLimitError):
             treewidth_exact(path_graph(17), with_decomposition=False)
 
+    def test_path_of_twenty_four_splits_to_the_ceiling(self):
+        # each of the 22 inner vertices is a cut vertex: the deepest split
+        assert treewidth_exact(path_graph(24), 24, with_decomposition=False) == (1, None)
+
     def test_dp_runs_on_blocks_of_three_or_more(self, monkeypatch):
         # two 4-cycles sharing vertex 3, a bridge 6-7, and a triangle 7-8-9
         # hanging off it, then a pendant vertex 10 and an isolated 11
@@ -385,28 +390,35 @@ class TestTreewidthLowerBound:
 
 
 class TestEggCuts:
-    """``egg_cuts_reach`` against the subset-enumeration oracle."""
+    """``egg_cuts_reach`` is a sufficient test: where it says ``True``, the
+    subset-enumeration oracle finds no cut below k.  The counts of pairs
+    it still proves are pinned, so a test that never says ``True`` fails."""
 
     @staticmethod
-    def assert_matches_oracle(g):
+    def proved(g):
+        """The number of k in 1..n+1 that the test proves, each checked by
+        the oracle; a proved k proves every smaller one."""
         e = brute_egg_cut(g)
-        for k in range(1, g.n + 2):
-            assert egg_cuts_reach(g, k) == (e is None or e >= k), (g.edges, k, e)
+        said = [egg_cuts_reach(g, k) for k in range(1, g.n + 2)]
+        for k, ok in enumerate(said, 1):
+            assert not ok or e is None or e >= k, (g.edges, k, e)
+        assert said == sorted(said, reverse=True), (g.edges, said)
+        return sum(said)
 
     def test_atlas(self):
-        for g in connected_atlas(6):
-            self.assert_matches_oracle(g)
+        # the oracle holds on 428 of these pairs
+        assert sum(self.proved(g) for g in connected_atlas(6)) == 202
 
     def test_random_graphs(self):
+        # the oracle holds on 719 of these pairs
         rnd = random.Random(47)
-        for _ in range(150):
-            n = rnd.randint(4, 10)
-            self.assert_matches_oracle(random_graph(rnd, n, rnd.choice((0.3, 0.5, 0.8, 0.95))))
+        graphs = [random_graph(rnd, rnd.randint(4, 10), rnd.choice((0.3, 0.5, 0.8, 0.95))) for _ in range(150)]
+        assert sum(self.proved(g) for g in graphs) == 515
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=120)
     @given(st.data())
     def test_matches_oracle_property(self, data):
-        self.assert_matches_oracle(draw_connected_graph(data, 2, 8))
+        self.proved(draw_connected_graph(data, 2, 8))
 
     def test_isolated_vertex_is_not_the_flow_source(self):
         # two K4s and an isolated vertex: the floors cannot see the empty cut
@@ -416,36 +428,43 @@ class TestEggCuts:
         assert not egg_cuts_reach(g, 1)
 
     def test_no_two_disjoint_edges_means_no_cut(self):
-        # a star and a triangle have no cut with an edge on each side
-        for g in (build_graph(5, [(0, v) for v in range(1, 5)]), complete_graph(3)):
-            assert egg_cuts_reach(g, 100)
-
-    @pytest.fixture
-    def no_flows(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the flow stage ran")
-        monkeypatch.setattr(bounds, "_disjoint_paths_reach", refuse)
+        # a triangle has no cut with an edge on each side
+        assert egg_cuts_reach(complete_graph(3), 100)
 
     @pytest.mark.parametrize("n", range(4, 9))
-    def test_degree_floors_settle_complete_graphs_at_their_cut(self, n, no_flows):
+    def test_degree_floors_settle_complete_graphs_at_their_cut(self, n):
         # the smallest cut of K_n with an edge on each side splits 2 | n - 2
         assert egg_cuts_reach(complete_graph(n), 2 * (n - 2))
 
     @pytest.mark.parametrize("g", [cycle_graph(6), path_graph(4), grid_graph(3, 3)], ids=["C6", "P4", "grid"])
-    def test_one_edge_refutes_sparse_graphs(self, g, no_flows):
+    def test_one_edge_refutes_sparse_graphs(self, g):
         # each of these has a smallest cut around the two ends of one edge;
         # in P4 a single edge is clear of them
         assert not egg_cuts_reach(g, brute_egg_cut(g) + 1)
 
     def test_flows_settle_what_the_floors_leave(self):
-        # two K4s joined by a perfect matching: every edge has 4 other edges
-        # at its ends, the floors stop at 3, and the matching is a cut of 4
+        # two K4s joined by a perfect matching: every degree is 4, and the
+        # floors reach the matching's cut of 4 and no further
         edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
         edges += [(u + 4, v + 4) for u, v in edges] + [(v, v + 4) for v in range(4)]
         g = build_graph(8, edges)
         assert brute_egg_cut(g) == 4
         assert egg_cuts_reach(g, 4)
         assert not egg_cuts_reach(g, 5)
+        # the known gap: a hub over the path 0-4-3-2 has no cut below
+        # 3 = n - alpha, but its two degree-2 vertices hold the floors at 2
+        g = build_graph(5, [(1, 0), (1, 2), (1, 3), (1, 4), (0, 4), (4, 3), (3, 2)])
+        assert brute_egg_cut(g) == 3 == g.n - brute_alpha(g)
+        assert not egg_cuts_reach(g, 3)
+        # so the scan refutes degrees 1 and 2, and the independent set closes 3
+        result = gonality(g, independent_set=maximum_independent_set(g).independent.vertices)
+        assert (result.value, result.degrees_searched, result.closed_by) == (3, (1, 2, 3), "independence")
+        assert result.value == gonality(g).value
+
+    @pytest.mark.parametrize("k", ["3", 2.5, None])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(GonalityError, match="egg_cuts_reach needs an integer k"):
+            egg_cuts_reach(cycle_graph(5), k)
 
 
 class TestMaximumIndependentSet:
@@ -586,6 +605,11 @@ class TestFriezeEstimate:
             frieze_alpha_estimate(100, math.e)
         with pytest.raises(GonalityError):
             frieze_alpha_estimate(0, 10)
+
+    @pytest.mark.parametrize("n", ["3", 2.5, None])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(GonalityError, match="frieze_alpha_estimate needs an integer n"):
+            frieze_alpha_estimate(n, 4.0)
 
     @pytest.mark.parametrize("c", [math.inf, math.nan])
     def test_non_finite_c_is_a_domain_error(self, c):

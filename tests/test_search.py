@@ -569,7 +569,7 @@ class TestScanOutcomesDigest:
                     got = str(exc), exc.degrees_refuted
                 h.update(repr(got).encode())
         assert raised > 5000
-        assert h.hexdigest() == "8262e7de65c66e9b5d32f5075df9f52e5bba315758bb682100ae3c83b4406c6c"
+        assert h.hexdigest() == "95be13140e7f87cfb5f1efb487c6d87334343c7e9eaff3b752de198f46266df6"
 
 
 class TestScanAllocation:
