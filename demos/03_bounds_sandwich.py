@@ -23,7 +23,8 @@ for n, p, seed in [(8, 0.3, 1), (8, 0.5, 2), (9, 0.7, 3), (10, 0.8, 4), (9, 0.9,
     g = sample_gnp(GnpParams.from_p(n, p, seed))
     if not g.is_connected():
         continue
-    # the width alone, from one DP per biconnected block
+    # the width alone, from one DP per biconnected block that the
+    # simplicial and series rules leave
     tw = treewidth_exact(g, with_decomposition=False)[0]
     alpha = maximum_independent_set(g).alpha
     gon = gonality(g, with_certificate=False).value

@@ -13,6 +13,7 @@ where they use it, in ``search._check_independent``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -119,11 +120,13 @@ def treewidth_exact(graph: Graph, size_limit: int = 16, *,
     from its table, from the full set down, at each step the least v that
     attains ``f(S)``, and makes it into bags by
     :func:`_decomposition_from_order`.  The width path (``(width, None)``,
-    -1 on the empty graph) splits the graph at its cut vertices and runs
-    the DP on each block of three or more vertices alone
-    (:func:`_split_width`).  Only the witness path needs the whole graph's
-    2^n table, but both refuse graphs above ``size_limit``, or above the
-    ceiling ``_TW_MAX_N`` whatever the limit, before any work.
+    -1 on the empty graph) splits the graph at its cut vertices, shrinks
+    each block of three or more vertices by the simplicial and series rules
+    (Bodlaender, Koster and van den Eijkhof, Comput. Intell. 2005), and
+    runs the DP on what they leave (:func:`_split_width`).  Only the
+    witness path needs the whole graph's 2^n table, but both refuse graphs
+    above ``size_limit``, or above the ceiling ``_TW_MAX_N`` whatever the
+    limit, before any work.
     """
     n = graph.n
     limit = min(_checked_int(size_limit, "treewidth_exact", "size limit", 0), _TW_MAX_N)
@@ -284,13 +287,13 @@ def frieze_alpha_estimate(n: int, c: float) -> float:
     """Typical independence number of G(n, c/n) for large sparse graphs:
     ``(2/p) (ln c - ln ln c - ln 2 + 1)`` with ``p = c/n``.
 
-    Requires a finite ``c > e`` so the double logarithm is positive and
-    finite; any other c, NaN included, is outside the estimate's regime and
-    rejected.
+    Requires a real, finite ``c > e`` so the double logarithm is positive
+    and finite; any other c, NaN, a string and a complex number included,
+    is outside the estimate's regime and rejected.
     """
     n = _checked_int(n, "frieze_alpha_estimate", "n", 1)
-    if not math.e < c < math.inf:
-        raise GonalityError(f"estimate needs a finite c > e ~ 2.718, got {c}")
+    if not (isinstance(c, numbers.Real) and math.e < c < math.inf):
+        raise GonalityError(f"estimate needs a real, finite c > e ~ 2.718, got {c!r}")
     p = c / n
     return (2.0 / p) * _frieze_bracket(c)
 
@@ -376,8 +379,12 @@ def _split_width(adj: tuple[int, ...], s: int) -> int:
     v alone, a clique and so a safe separator (Bodlaender and Koster,
     Discrete Math. 2006): the width is the larger of those of
     ``G[side + v]`` and ``G[s - side]``, which both keep v.  What nothing
-    separates is a block, of width ``|s| - 1`` below three vertices and
-    otherwise :func:`_width_table`'s on ``G[s]`` alone.
+    separates is a block, of width ``|s| - 1`` below three vertices.  A
+    larger block has a cycle, so its width is at least 2, and
+    :func:`_reduce_block` shrinks it by the simplicial and series rules
+    (Bodlaender, Koster and van den Eijkhof, Comput. Intell. 2005).  What
+    they leave goes back through the split, as they can make new cut
+    vertices, and a block they leave whole goes to :func:`_width_table`.
     """
     vertices = [v for v in range(len(adj)) if s >> v & 1]
     for v in (0, *(1 << u for u in vertices)):
@@ -387,8 +394,46 @@ def _split_width(adj: tuple[int, ...], s: int) -> int:
             return max(_split_width(adj, side | v), _split_width(adj, s ^ side))
     if len(vertices) < 3:
         return len(vertices) - 1
-    return _width_table(tuple(sum(1 << j for j, w in enumerate(vertices) if adj[u] >> w & 1)
-                              for u in vertices))[-1]
+    block = [sum(1 << j for j, w in enumerate(vertices) if adj[u] >> w & 1) for u in vertices]
+    floor, left = _reduce_block(block)
+    if left == (1 << len(block)) - 1:
+        return _width_table(tuple(block))[-1]
+    return max(floor, _split_width(tuple(block), left)) if left else floor
+
+
+def _reduce_block(adj: list[int]) -> tuple[int, int]:
+    """Apply the two safe rules to a graph of width at least 2, in place on
+    its adjacency masks, until neither applies; return the floor they
+    raise and the mask of the vertices left.
+
+    The simplicial rule deletes a vertex whose neighbours form a clique
+    and raises the floor to its degree.  The series rule contracts a
+    degree-2 vertex into an edge between its neighbours, which is safe
+    once the floor is 2.  The width is the larger of the floor and the
+    width of what is left.
+    """
+    floor = 2
+    left = todo = (1 << len(adj)) - 1
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        nb = adj[bit.bit_length() - 1]
+        nbrs = [u for u in range(len(adj)) if nb >> u & 1]
+        if len(nbrs) == 2:
+            a, b = nbrs
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+            # a vertex that sees both ends may now be simplicial
+            nb |= adj[a] & adj[b]
+        elif all(not nb & ~(adj[u] | 1 << u) for u in nbrs):
+            floor = max(floor, len(nbrs))
+        else:
+            continue
+        for u in nbrs:
+            adj[u] ^= bit
+        left ^= bit
+        todo |= nb & left
+    return floor, left
 
 
 def _width_table(adj: tuple[int, ...]) -> bytearray:

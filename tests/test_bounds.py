@@ -272,10 +272,21 @@ class TestTreewidthWitness:
             assert td.width == max(widths) == fill_in_width(g, order)
 
 
+@pytest.fixture
+def dp_sizes(monkeypatch):
+    """The vertex counts of the graphs that ``_width_table`` runs on, in
+    call order."""
+    sizes = []
+    kernel = bounds._width_table
+    monkeypatch.setattr(bounds, "_width_table", lambda adj: sizes.append(len(adj)) or kernel(adj))
+    return sizes
+
+
 class TestTreewidthWidthPath:
-    """``with_decomposition=False`` runs the DP per biconnected block and
-    returns the width alone; the per-(S, v) reference DP on the whole
-    graph checks it."""
+    """``with_decomposition=False`` runs the DP per biconnected block, on
+    what the simplicial and series rules leave of it, and returns the
+    width alone; the per-(S, v) reference DP on the whole graph checks
+    it."""
 
     @pytest.mark.parametrize("name", sorted(_NAMED_GRAPHS))
     def test_matches_reference_dp_on_named_graphs(self, name):
@@ -330,16 +341,55 @@ class TestTreewidthWidthPath:
         # each of the 22 inner vertices is a cut vertex: the deepest split
         assert treewidth_exact(path_graph(24), 24, with_decomposition=False) == (1, None)
 
-    def test_dp_runs_on_blocks_of_three_or_more(self, monkeypatch):
+    def test_dp_runs_on_blocks_of_three_or_more(self, dp_sizes):
         # two 4-cycles sharing vertex 3, a bridge 6-7, and a triangle 7-8-9
-        # hanging off it, then a pendant vertex 10 and an isolated 11
+        # hanging off it, then a pendant vertex 10 and an isolated 11: the
+        # series rule takes the cycles and the simplicial rule the triangle
         g = build_graph(12, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6), (6, 3),
                              (6, 7), (7, 8), (8, 9), (9, 7), (9, 10)])
-        sizes = []
-        kernel = bounds._width_table
-        monkeypatch.setattr(bounds, "_width_table", lambda adj: sizes.append(len(adj)) or kernel(adj))
         assert treewidth_exact(g, with_decomposition=False) == (2, None)
-        assert sorted(sizes) == [3, 4, 4]
+        assert dp_sizes == []
+        # the 3-cube has no simplicial or degree-2 vertex, so the DP sees it all
+        assert treewidth_exact(_cube(), with_decomposition=False) == (3, None)
+        assert dp_sizes == [8]
+
+    def test_rules_leave_a_subdivided_cube_to_the_dp(self, dp_sizes):
+        # every edge subdivided, four of them twice: one 24-vertex block
+        # whose degree-2 vertices contract back to the cube
+        g = _subdivided_cube()
+        assert (g.n, g.m) == (24, 28)
+        assert treewidth_exact(g, 24, with_decomposition=False) == (3, None)
+        assert dp_sizes == [8]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.data())
+    def test_rules_match_the_reference_on_graphs_built_for_them(self, data):
+        g = _draw_graph(data, 6)
+        n, edges = g.n, list(g.edges)
+        # subdivide some edges once or twice; a kept chord makes the last
+        # contraction land on an existing edge
+        for u, v in g.edges:
+            k = data.draw(st.integers(0, 2))
+            if k and n + k <= 12:
+                path = [u, *range(n, n + k), v]
+                n += k
+                edges += zip(path, path[1:])
+                if not data.draw(st.booleans()):
+                    edges.remove((u, v))
+        # pendant cliques: a new vertex joined to a clique made on old ones
+        for _ in range(data.draw(st.integers(0, 2))):
+            if n < 13:
+                clique = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=3))
+                edges += [(u, v) for u in clique for v in clique if u < v]
+                edges += [(u, n) for u in clique]
+                n += 1
+        shuffle = data.draw(st.permutations(range(n)))
+        g = build_graph(n, sorted({tuple(sorted((shuffle[u], shuffle[v]))) for u, v in edges}))
+        assert treewidth_exact(g, with_decomposition=False)[0] == reference_treewidth(g)[0], g.edges
+
+    def test_matches_witness_path_on_connected_atlas(self):
+        for g in connected_atlas(7):
+            assert treewidth_exact(g, with_decomposition=False)[0] == treewidth_exact(g)[0], g.edges
 
     def test_twenty_four_vertices_in_small_blocks(self):
         # at the ceiling, the whole-graph DP would fill 2^24 subsets; the
@@ -349,6 +399,20 @@ class TestTreewidthWidthPath:
         g = build_graph(24, [*grid_graph(2, 6).edges, *grid, (11, 12)])
         assert treewidth_lower_bound(g) == 2
         assert treewidth_exact(g, 24, with_decomposition=False) == (3, None)
+
+
+def _cube() -> Graph:
+    return build_graph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b])
+
+
+def _subdivided_cube() -> Graph:
+    """The 3-cube with each edge subdivided, the first four twice."""
+    n, edges = 8, []
+    for i, (u, v) in enumerate(_cube().edges):
+        path = [u, *range(n, n + 1 + (i < 4)), v]
+        n = path[-2] + 1
+        edges += zip(path, path[1:])
+    return build_graph(n, edges)
 
 
 def _draw_graph(data, max_n: int) -> Graph:
@@ -610,6 +674,12 @@ class TestFriezeEstimate:
     def test_n_must_be_an_integer(self, n):
         with pytest.raises(GonalityError, match="frieze_alpha_estimate needs an integer n"):
             frieze_alpha_estimate(n, 4.0)
+
+    @pytest.mark.parametrize("c", ["4", None, 4 + 0j])
+    def test_c_must_be_a_real_number(self, c):
+        # each raised a bare TypeError from the comparison with e
+        with pytest.raises(GonalityError, match="real, finite c > e"):
+            frieze_alpha_estimate(100, c)
 
     @pytest.mark.parametrize("c", [math.inf, math.nan])
     def test_non_finite_c_is_a_domain_error(self, c):
