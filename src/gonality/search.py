@@ -54,7 +54,7 @@ from .errors import (
     GonalityError,
     NotIndependentError,
 )
-from .graphs import Graph, _checked_int, induced_subgraph
+from .graphs import Graph, _checked_int, degeneracy, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,11 @@ class GonalityResult:
     bound or by the edge-scramble bound; a floor of 1 means everything
     below the value was refuted by exhaustive enumeration.
     ``certificate`` is ``None`` for disconnected graphs (the value is then
-    the sum over components) and for the single-vertex graph.
+    the sum over components) and for the single-vertex graph.  A
+    disconnected graph's ``degrees_searched`` lists each component's in
+    turn, and ``refutation_floor`` reads the first component's; in an
+    accelerated call each component's list starts at or above its own
+    degeneracy floor, in the default call at 1.
 
     ``closed_by`` names what settled the value: ``"scan"`` (a scanned
     degree held a positive-rank divisor), ``"independence"`` (the scan
@@ -197,7 +201,15 @@ def gonality(
 
     Disconnected graphs get the sum of their components' gonalities, and a
     single-vertex component contributes 0; no combined certificate is
-    produced in either degenerate case.
+    produced in either degenerate case.  A call that gave an accelerator (a
+    non-empty I or a ``lower_bound`` above 1) hands each component C the
+    set ``I ∩ C`` and the floor ``max(1, degeneracy(C))``, as gonality is
+    at least treewidth, so each component gets its own scramble test and
+    independence cap; the caller's ``lower_bound`` bounds the sum and is
+    not passed on.  The default call scans every component from degree 1
+    with I empty.  A budget that runs out in a component names its
+    vertices, and ``degrees_refuted`` lists the finished components'
+    ``degrees_searched`` and then that component's refuted degrees.
     """
     budget = None if budget is None else _checked_int(budget, "gonality", "budget", 0)
     lower_bound = _checked_int(lower_bound, "gonality", "lower bound")
@@ -212,9 +224,22 @@ def gonality(
         raise GonalityError(f"lower bound {lower_bound} exceeds n - |I| = {cap}")
     comps = graph.components
     if len(comps) > 1:
-        parts = [gonality(induced_subgraph(graph, comp)[0], budget, with_certificate=False) for comp in comps]
-        return GonalityResult(sum(part.value for part in parts), None,
-                              tuple(d for part in parts for d in part.degrees_searched), closed_by="components")
+        accelerated = bool(independent) or lower_bound > 1
+        searched, total = [], 0
+        for comp in comps:
+            sub, keep = induced_subgraph(graph, comp)
+            kwargs = {}
+            if accelerated:  # I ∩ C is independent in C, and gon >= tw >= degeneracy
+                kwargs = {"lower_bound": max(1, degeneracy(sub)),
+                          "independent_set": frozenset(i for i, v in enumerate(keep) if v in independent)}
+            try:
+                part = gonality(sub, budget, with_certificate=False, **kwargs)
+            except BudgetExceededError as exc:
+                raise BudgetExceededError(f"{exc} (the component on vertices {list(comp)})",
+                                          degrees_refuted=(*searched, *exc.degrees_refuted)) from None
+            searched += part.degrees_searched
+            total += part.value
+        return GonalityResult(total, None, tuple(searched), closed_by="components")
     if graph.n == 1:
         # convention: the one-vertex graph needs no chips to move, value 0
         return GonalityResult(0, None, (), closed_by="components")

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import random
 import tracemalloc
+from types import SimpleNamespace
 from typing import Iterator, Optional
 
 import numpy as np
@@ -22,9 +23,11 @@ from gonality import (
     complement_divisor,
     complete_graph,
     cycle_graph,
+    degeneracy,
     egg_cuts_reach,
     gonality,
     has_positive_rank,
+    induced_subgraph,
     maximum_independent_set,
     min_degree,
     path_graph,
@@ -263,6 +266,163 @@ class TestScrambleClosure:
             assert verify_certificate(g, result.certificate)
             values.add(result.value)
         assert len(values) == 1
+
+
+def star_graph(leaves):
+    return build_graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+
+
+def p3_and_k5():
+    return build_graph(8, [(0, 1), (1, 2)] + [(u, v) for u in range(3, 8) for v in range(u + 1, 8)])
+
+
+def disjoint_union(parts, rnd: Optional[random.Random] = None):
+    """The parts side by side, their labels shuffled by ``rnd`` so that the
+    components interleave, and each part's vertices in the union."""
+    n = sum(p.n for p in parts)
+    label = list(range(n))
+    if rnd is not None:
+        rnd.shuffle(label)
+    edges, comps, offset = [], [], 0
+    for p in parts:
+        edges += [tuple(sorted((label[offset + u], label[offset + v]))) for u, v in p.edges]
+        comps.append(sorted(label[offset:offset + p.n]))
+        offset += p.n
+    return build_graph(n, sorted(edges)), comps
+
+
+@functools.lru_cache(maxsize=256)
+def _brute_gonality(g):
+    return 0 if g.n == 1 else brute_gonality(g)
+
+
+@st.composite
+def component_unions(draw):
+    """2 to 4 components of at most 6 vertices: K2, stars, paths, cliques
+    and drawn connected graphs, shuffled together."""
+    parts = []
+    for _ in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from(("k2", "star", "path", "clique", "drawn", "vertex")))
+        if kind == "k2":
+            parts.append(complete_graph(2))
+        elif kind == "star":
+            parts.append(star_graph(draw(st.integers(2, 5))))
+        elif kind == "path":
+            parts.append(path_graph(draw(st.integers(3, 6))))
+        elif kind == "clique":
+            parts.append(complete_graph(draw(st.integers(3, 5))))
+        elif kind == "drawn":
+            parts.append(draw_connected_graph(SimpleNamespace(draw=draw), 2, 6))
+        else:
+            parts.append(path_graph(1))
+    return disjoint_union(parts, random.Random(draw(st.integers(0, 2**32 - 1))))
+
+
+def _accelerators(g, data):
+    """The default call's keywords, or a drawn accelerated call's: I maximum
+    or greedy over a drawn order, with or without the exact treewidth."""
+    if data.draw(st.booleans()):
+        independent = maximum_independent_set(g).independent.vertices
+    else:
+        independent = set()
+        for v in data.draw(st.permutations(range(g.n))):
+            if not g.adjacency[v] & independent:
+                independent.add(v)
+    tw = treewidth_exact(g, 24, with_decomposition=False)[0]
+    return data.draw(st.sampled_from((
+        {},
+        {"independent_set": frozenset(independent)},
+        {"lower_bound": max(1, tw)},
+        {"lower_bound": max(1, tw), "independent_set": frozenset(independent)},
+    )))
+
+
+def _component_calls(g, comps, kwargs):
+    """Each component's subgraph and the keywords of its own call: with any
+    accelerator, I ∩ C and the floor max(1, degeneracy(C)); else none."""
+    independent = kwargs.get("independent_set", frozenset())
+    accelerated = bool(independent) or kwargs.get("lower_bound", 1) > 1
+    for comp in sorted(comps):
+        sub = induced_subgraph(g, comp)[0]
+        own = {}
+        if accelerated:
+            own = {"lower_bound": max(1, degeneracy(sub)),
+                   "independent_set": {i for i, v in enumerate(comp) if v in independent}}
+        yield comp, sub, own
+
+
+class TestComponentAccelerators:
+    """An accelerated call hands each component C the set I ∩ C and the
+    floor max(1, degeneracy(C)); the default call scans each from 1."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(component_unions(), st.data())
+    def test_values_and_each_components_degrees(self, union, data):
+        g, comps = union
+        kwargs = _accelerators(g, data)
+        result = gonality(g, **kwargs)
+        assert result.certificate is None and result.closed_by == "components"
+        assert result.value == gonality(g).value
+        assert result.value == sum(_brute_gonality(induced_subgraph(g, c)[0]) for c in comps)
+        searched = []
+        for _, sub, own in _component_calls(g, comps, kwargs):
+            part = gonality(sub, with_certificate=False, **own)
+            floor = own.get("lower_bound", 1)
+            assert all(d >= floor for d in part.degrees_searched)
+            if not own:  # the reference scan, from degree 1
+                assert part.degrees_searched[:1] in ((), (1,))
+            searched += part.degrees_searched
+        assert result.degrees_searched == tuple(searched)
+
+    def test_default_call_scans_each_component_from_one(self):
+        # the reference scan refutes K5's degrees 1 to 3
+        g = p3_and_k5()
+        assert gonality(g).degrees_searched == (1, 1, 2, 3, 4)
+        I = maximum_independent_set(g).independent.vertices
+        assert gonality(g, independent_set=I).degrees_searched == (1, 4)
+
+    def test_clique_beside_an_edge_is_closed_at_its_floor(self):
+        # the default call would scan K16 from degree 1 to 15
+        g, _ = disjoint_union([complete_graph(16), complete_graph(2)])
+        result = gonality(g, independent_set=maximum_independent_set(g).independent.vertices)
+        assert (result.value, result.degrees_searched) == (16, (15, 1))
+
+    def test_edges_and_stars_build_no_scan(self, monkeypatch):
+        g, _ = disjoint_union([complete_graph(2), star_graph(3), star_graph(5), path_graph(1)], random.Random(7))
+        I = maximum_independent_set(g).independent.vertices
+        monkeypatch.setattr(search, "_Scan", None)
+        assert gonality(g, independent_set=I).value == 3
+        with pytest.raises(TypeError):
+            gonality(g)
+
+    def test_budget_names_the_component_and_keeps_the_finished_degrees(self):
+        g = p3_and_k5()
+        with pytest.raises(BudgetExceededError, match=r"vertices \[3, 4, 5, 6, 7\]") as info:
+            gonality(g, 5)
+        assert info.value.degrees_refuted == (1, 1, 2)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @given(component_unions(), st.data())
+    def test_refuted_degrees_prefix_the_unbudgeted_search(self, union, data):
+        g, comps = union
+        kwargs = _accelerators(g, data)
+        searched = gonality(g, with_certificate=False, **kwargs).degrees_searched
+        budget = data.draw(st.integers(0, 12))
+        try:
+            gonality(g, budget, with_certificate=False, **kwargs)
+        except BudgetExceededError as exc:
+            assert searched[:len(exc.degrees_refuted)] == exc.degrees_refuted
+            # the finished components' degrees, then the failing one's
+            done = []
+            for comp, sub, own in _component_calls(g, comps, kwargs):
+                try:
+                    done += gonality(sub, budget, with_certificate=False, **own).degrees_searched
+                except BudgetExceededError as part:
+                    assert f"vertices {comp}" in str(exc)
+                    assert exc.degrees_refuted == (*done, *part.degrees_refuted)
+                    break
+            else:
+                pytest.fail("no component ran out of the budget alone")
 
 
 class TestPositiveRankAgainstBaseZero:
