@@ -57,6 +57,9 @@ class BudgetExceededError(GonalityError):
 
     The partial state (e.g. degrees already refuted) is attached where it is
     meaningful, so the caller knows what was established before the abort.
+    On a disconnected graph ``degrees_refuted`` starts with the finished
+    components' ``degrees_searched``, and those include each one's closing
+    degree (a scan hit, or its unscanned cap), which was not refuted.
     """
 
     def __init__(self, message, degrees_refuted=()):

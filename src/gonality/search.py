@@ -82,9 +82,9 @@ class GonalityResult:
     ``certificate`` is ``None`` for disconnected graphs (the value is then
     the sum over components) and for the single-vertex graph.  A
     disconnected graph's ``degrees_searched`` lists each component's in
-    turn, and ``refutation_floor`` reads the first component's; in an
-    accelerated call each component's list starts at or above its own
-    degeneracy floor, in the default call at 1.
+    turn, each starting at or above that component's own degeneracy floor,
+    and its ``refutation_floor`` has no meaning: where ``closed_by`` is
+    ``"components"`` the degrees are no single search's.
 
     ``closed_by`` names what settled the value: ``"scan"`` (a scanned
     degree held a positive-rank divisor), ``"independence"`` (the scan
@@ -101,7 +101,8 @@ class GonalityResult:
 
     @property
     def refutation_floor(self) -> int:
-        """The first degree searched, or 1 where none was."""
+        """The first degree searched, or 1 where none was; meaningless
+        where ``closed_by`` is ``"components"``."""
         return self.degrees_searched[0] if self.degrees_searched else 1
 
 
@@ -192,24 +193,23 @@ def gonality(
     :func:`egg_cuts_reach` prove that every cut with an edge on each side
     has at least ``n - |I|`` edges and ``|I|`` is the independence number,
     the value is ``n - |I|`` with no degree scanned; otherwise the scan
-    runs.  With the defaults the search is a pure exhaustive scan from
-    degree 1.  Both accelerators are checked on every graph: a set that
-    is not independent raises :class:`GonalityError`
+    runs.  With the defaults the search on a connected graph is a pure
+    exhaustive scan from degree 1.  Both accelerators are checked on every
+    graph: a set that is not independent raises :class:`GonalityError`
     (:class:`NotIndependentError` for an edge inside it), and so does a
     ``lower_bound`` above ``n - |I|``, which no gonality exceeds (the
     default 1 always stands).
 
     Disconnected graphs get the sum of their components' gonalities, and a
     single-vertex component contributes 0; no combined certificate is
-    produced in either degenerate case.  A call that gave an accelerator (a
-    non-empty I or a ``lower_bound`` above 1) hands each component C the
-    set ``I ∩ C`` and the floor ``max(1, degeneracy(C))``, as gonality is
-    at least treewidth, so each component gets its own scramble test and
-    independence cap; the caller's ``lower_bound`` bounds the sum and is
-    not passed on.  The default call scans every component from degree 1
-    with I empty.  A budget that runs out in a component names its
-    vertices, and ``degrees_refuted`` lists the finished components'
-    ``degrees_searched`` and then that component's refuted degrees.
+    produced in either degenerate case.  Each component C is searched with
+    the set ``I ∩ C`` (empty in the default call) and the floor
+    ``max(1, degeneracy(C))``, as gonality is at least treewidth, so each
+    component gets its own scramble test and independence cap; the
+    caller's ``lower_bound`` bounds the sum and is not passed on.  A
+    budget that runs out in a component names its vertices, and
+    ``degrees_refuted`` lists the finished components' ``degrees_searched``
+    and then that component's refuted degrees.
     """
     budget = None if budget is None else _checked_int(budget, "gonality", "budget", 0)
     lower_bound = _checked_int(lower_bound, "gonality", "lower bound")
@@ -224,16 +224,14 @@ def gonality(
         raise GonalityError(f"lower bound {lower_bound} exceeds n - |I| = {cap}")
     comps = graph.components
     if len(comps) > 1:
-        accelerated = bool(independent) or lower_bound > 1
         searched, total = [], 0
         for comp in comps:
             sub, keep = induced_subgraph(graph, comp)
-            kwargs = {}
-            if accelerated:  # I ∩ C is independent in C, and gon >= tw >= degeneracy
-                kwargs = {"lower_bound": max(1, degeneracy(sub)),
-                          "independent_set": frozenset(i for i, v in enumerate(keep) if v in independent)}
+            # I ∩ C is independent in C, and gon >= tw >= degeneracy
+            own = frozenset(i for i, v in enumerate(keep) if v in independent)
             try:
-                part = gonality(sub, budget, with_certificate=False, **kwargs)
+                part = gonality(sub, budget, with_certificate=False,
+                                lower_bound=max(1, degeneracy(sub)), independent_set=own)
             except BudgetExceededError as exc:
                 raise BudgetExceededError(f"{exc} (the component on vertices {list(comp)})",
                                           degrees_refuted=(*searched, *exc.degrees_refuted)) from None

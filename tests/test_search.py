@@ -276,6 +276,13 @@ def p3_and_k5():
     return build_graph(8, [(0, 1), (1, 2)] + [(u, v) for u in range(3, 8) for v in range(u + 1, 8)])
 
 
+def p3_and_grid():
+    """P3 on 0..2 beside the 3x3 grid on 3..11 (degeneracy 2, gonality 3)."""
+    grid = [(3 + 3 * i + j, 3 + 3 * i + j + 1) for i in range(3) for j in range(2)]
+    grid += [(3 + 3 * i + j, 3 + 3 * (i + 1) + j) for i in range(2) for j in range(3)]
+    return build_graph(12, sorted([(0, 1), (1, 2)] + grid))
+
+
 def disjoint_union(parts, rnd: Optional[random.Random] = None):
     """The parts side by side, their labels shuffled by ``rnd`` so that the
     components interleave, and each part's vertices in the union."""
@@ -338,22 +345,19 @@ def _accelerators(g, data):
 
 
 def _component_calls(g, comps, kwargs):
-    """Each component's subgraph and the keywords of its own call: with any
-    accelerator, I ∩ C and the floor max(1, degeneracy(C)); else none."""
+    """Each component's subgraph and the keywords of its own call: I ∩ C
+    (empty in the default call) and the floor max(1, degeneracy(C))."""
     independent = kwargs.get("independent_set", frozenset())
-    accelerated = bool(independent) or kwargs.get("lower_bound", 1) > 1
     for comp in sorted(comps):
         sub = induced_subgraph(g, comp)[0]
-        own = {}
-        if accelerated:
-            own = {"lower_bound": max(1, degeneracy(sub)),
-                   "independent_set": {i for i, v in enumerate(comp) if v in independent}}
+        own = {"lower_bound": max(1, degeneracy(sub)),
+               "independent_set": {i for i, v in enumerate(comp) if v in independent}}
         yield comp, sub, own
 
 
 class TestComponentAccelerators:
-    """An accelerated call hands each component C the set I ∩ C and the
-    floor max(1, degeneracy(C)); the default call scans each from 1."""
+    """Each component C is searched with the set I ∩ C and the floor
+    max(1, degeneracy(C)), in the default call with I empty."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
     @given(component_unions(), st.data())
@@ -367,22 +371,19 @@ class TestComponentAccelerators:
         searched = []
         for _, sub, own in _component_calls(g, comps, kwargs):
             part = gonality(sub, with_certificate=False, **own)
-            floor = own.get("lower_bound", 1)
-            assert all(d >= floor for d in part.degrees_searched)
-            if not own:  # the reference scan, from degree 1
-                assert part.degrees_searched[:1] in ((), (1,))
+            assert all(d >= own["lower_bound"] for d in part.degrees_searched)
             searched += part.degrees_searched
         assert result.degrees_searched == tuple(searched)
 
-    def test_default_call_scans_each_component_from_one(self):
-        # the reference scan refutes K5's degrees 1 to 3
+    def test_default_call_starts_each_component_at_its_floor(self):
+        # K5's floor is its degeneracy 4; the 3x3 grid's is 2, below its 3
         g = p3_and_k5()
-        assert gonality(g).degrees_searched == (1, 1, 2, 3, 4)
         I = maximum_independent_set(g).independent.vertices
-        assert gonality(g, independent_set=I).degrees_searched == (1, 4)
+        assert gonality(g).degrees_searched == gonality(g, independent_set=I).degrees_searched == (1, 4)
+        assert gonality(p3_and_grid()).degrees_searched == (1, 2, 3)
 
     def test_clique_beside_an_edge_is_closed_at_its_floor(self):
-        # the default call would scan K16 from degree 1 to 15
+        # with I empty, K16's degree 15 would be scanned
         g, _ = disjoint_union([complete_graph(16), complete_graph(2)])
         result = gonality(g, independent_set=maximum_independent_set(g).independent.vertices)
         assert (result.value, result.degrees_searched) == (16, (15, 1))
@@ -396,10 +397,10 @@ class TestComponentAccelerators:
             gonality(g)
 
     def test_budget_names_the_component_and_keeps_the_finished_degrees(self):
-        g = p3_and_k5()
-        with pytest.raises(BudgetExceededError, match=r"vertices \[3, 4, 5, 6, 7\]") as info:
-            gonality(g, 5)
-        assert info.value.degrees_refuted == (1, 1, 2)
+        # P3's closing degree 1, then the grid's refuted degree 2
+        with pytest.raises(BudgetExceededError, match=r"vertices \[3, 4, 5, 6, 7, 8, 9, 10, 11\]") as info:
+            gonality(p3_and_grid(), 9)
+        assert info.value.degrees_refuted == (1, 2)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=120)
     @given(component_unions(), st.data())
