@@ -47,6 +47,7 @@ from .divisors import (
     _fired,
     _int_entries,
     _positive_rank_scripts,
+    _reduce_chips,
 )
 from .errors import (
     BudgetExceededError,
@@ -284,6 +285,8 @@ def _check_independent(graph: Graph, vertices) -> None:
 _CHUNK_ROWS = 2048
 # The most slots a completion table spans: bounds the tables' memory at any n.
 _TABLE_SLOTS = 32
+# A degree with at most this many candidates skips the batched scan.
+_FEW_CANDIDATES = 16
 
 
 def _blocks(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -312,7 +315,6 @@ class _Scan:
     def __init__(self, graph: Graph, top: int, budget: Optional[int]) -> None:
         n = graph.n
         self.graph, self.budget = graph, budget
-        most = _CHUNK_ROWS if budget is None else min(_CHUNK_ROWS, budget)  # rows in a chunk
         self.caps = np.array([top - 1] + [graph.degree(v) - 1 for v in range(1, n)])
         self.room = np.append(self.caps[::-1].cumsum()[::-1], 0)
         self.ways = ways = np.zeros((n + 1, top), dtype=np.int16)
@@ -322,6 +324,14 @@ class _Scan:
             ways[i] = np.minimum(conv, _CHUNK_ROWS + 1)
         # the narrowest signed type holding every entry, the slot-0 +1 included
         self.dtype = np.min_scalar_type(-max(top, n) - 1)
+        self.table = None  # built by tables() when a degree first needs it
+
+    def tables(self) -> None:
+        """Build the completion tables, once."""
+        if self.table is not None:
+            return
+        n, top, ways = self.graph.n, self.ways.shape[1], self.ways
+        most = _CHUNK_ROWS if self.budget is None else min(_CHUNK_ROWS, self.budget)  # rows in a chunk
         self.tabled = first = max(0, n - _TABLE_SLOTS)  # the table's first column
         slot, r = np.nonzero((ways[first:n] > 0) & (ways[first:n] <= most))
         counts = ways[slot + first, r]
@@ -366,6 +376,7 @@ def _candidate_chunks(scan: _Scan, d: int) -> Iterator[np.ndarray]:
     ways, budget = scan.ways, scan.budget
     if ways[0, d - 1] == 0:
         return
+    scan.tables()
     stack = [(np.zeros((1, scan.graph.n), dtype=scan.dtype), np.array([d - 1], dtype=np.int64), 0)]
     emitted = 0
     while stack:
@@ -389,6 +400,29 @@ def _candidate_chunks(scan: _Scan, d: int) -> Iterator[np.ndarray]:
         rows[:, 0] += 1
         emitted += len(rows)
         yield rows
+
+
+def _few_candidates(scan: _Scan, d: int) -> Iterator[tuple[int, ...]]:
+    """Degree-d candidate chip vectors in ascending lex order, one tuple at
+    a time, for a degree with too few of them to pay for numpy's set-up.
+
+    A partial vector lists its nonzero slots, so that a slot every partial
+    vector leaves empty costs one step each.  The scan's ``budget`` caps
+    the vectors yielded, as in :func:`_candidate_chunks`.
+    """
+    caps, room, n = scan.caps.tolist(), scan.room.tolist(), scan.graph.n
+    rows = [((), d - 1)]  # (the nonzero (slot, chips) so far, the chips left)
+    for i in range(n):
+        rows = [(row + ((i, c),) if c else row, left - c) for row, left in rows
+                for c in range(max(0, left - room[i + 1]), min(caps[i], left) + 1)]
+    for k, (row, _) in enumerate(rows):
+        if scan.budget is not None and k >= scan.budget:
+            raise BudgetExceededError(f"degree-{d} scan exceeded budget of {scan.budget} candidates")
+        chips = [0] * n
+        for i, c in row:
+            chips[i] = c
+        chips[0] += 1
+        yield tuple(chips)
 
 
 def _burn(graph: Graph, chips: np.ndarray, sources) -> tuple[np.ndarray, np.ndarray]:
@@ -456,6 +490,13 @@ def _scan_degree(scan: _Scan, d: int) -> Optional[tuple[tuple[int, ...], list[li
     burns, so no part past the first hit is burnt.
     """
     graph = scan.graph
+    if scan.ways[0, d - 1] <= _FEW_CANDIDATES:
+        for chips in _few_candidates(scan, d):
+            if _reduce_chips(graph, list(chips), 0) == list(chips):  # q-reduced: no Dhar round fires
+                scripts = _positive_rank_scripts(graph, chips)
+                if scripts is not None:
+                    return chips, scripts
+        return None
     for rows in _candidate_chunks(scan, d):
         rows = rows[_burn(graph, rows, 0)[0].all(axis=1)]  # the q-reduced rows
         row, v = np.nonzero(rows == 0)

@@ -548,12 +548,14 @@ _ORACLE_BUDGETS = (None, 1, 2, 3, 17, 500)
 class TestBatchedScanAgainstScalar:
     """The batched kernel returns what the scalar scan returned: the same
     hit and scripts, the same Dhar-filtered candidates, or the same budget
-    error.  Chunk size 7 runs the multi-chunk path on every degree past
-    the first few."""
+    error.  Chunk size 7 batches every degree, those with few candidates
+    too, and runs the multi-chunk path on every degree past the first few."""
 
     @pytest.mark.parametrize("chunk", [search._CHUNK_ROWS, 7])
     def test_every_degree_and_budget(self, chunk, monkeypatch):
         monkeypatch.setattr(search, "_CHUNK_ROWS", chunk)
+        if chunk == 7:
+            monkeypatch.setattr(search, "_FEW_CANDIDATES", 0)
         hits = budget_errors = 0
         for g in _oracle_corpus():
             for d in range(1, g.n + 1):
@@ -581,6 +583,7 @@ class TestBatchedScanAgainstScalar:
         # blocks grow one slot at a time until they reach the tabled slots
         monkeypatch.setattr(search, "_CHUNK_ROWS", 7)
         monkeypatch.setattr(search, "_TABLE_SLOTS", slots)
+        monkeypatch.setattr(search, "_FEW_CANDIDATES", 0)
         for g in _oracle_corpus()[::4]:
             for d in range(1, g.n + 1):
                 for budget in _ORACLE_BUDGETS:
@@ -593,6 +596,7 @@ class TestBatchedScanAgainstScalar:
         for _ in range(20):
             g = random_connected_graph(rnd, rnd.randint(2, 9), 0.6)
             scan = search._Scan(g, g.n, budget)
+            scan.tables()
             caps = [g.n - 1] + [g.degree(v) - 1 for v in range(1, g.n)]
             most, held = (chunk if budget is None else min(chunk, budget)), 0
             for i in range(g.n):
@@ -617,12 +621,41 @@ class TestBatchedScanAgainstScalar:
         d = data.draw(st.integers(1, n))
         budget = data.draw(st.one_of(st.none(), st.integers(0, 60)))
         chunk = data.draw(st.sampled_from((1, 2, 5, search._CHUNK_ROWS)))
-        saved = search._CHUNK_ROWS
-        search._CHUNK_ROWS = chunk
+        few = data.draw(st.sampled_from((0, search._FEW_CANDIDATES)))
+        saved = search._CHUNK_ROWS, search._FEW_CANDIDATES
+        search._CHUNK_ROWS, search._FEW_CANDIDATES = chunk, few
         try:
             assert _batched_outcomes(g, d, budget) == _scalar_outcomes(g, d, budget)
         finally:
-            search._CHUNK_ROWS = saved
+            search._CHUNK_ROWS, search._FEW_CANDIDATES = saved
+
+
+class TestSmallDegreeRoute:
+    """A degree with at most ``_FEW_CANDIDATES`` candidates is enumerated
+    in plain Python and skips the batched scan.  With every degree sent
+    either way, each call ends the same: the same value, degrees, closure
+    and certificate bytes, or the same budget error and refuted degrees.
+    Every third connected graph of up to seven vertices, and a few larger
+    ones, at each budget from 0 to 40."""
+
+    @staticmethod
+    def outcome(call):
+        try:
+            res = call()
+        except BudgetExceededError as exc:
+            return str(exc), exc.degrees_refuted
+        return res.value, res.degrees_searched, res.closed_by, serialize_certificate(res.certificate)
+
+    def test_both_routes_end_every_call_alike(self, monkeypatch):
+        graphs = [g for g in connected_atlas(7) if g.n >= 2][::3]
+        rnd = random.Random(45)
+        graphs += [random_connected_graph(rnd, rnd.randint(8, 10), rnd.choice((0.3, 0.5, 0.9))) for _ in range(20)]
+        routes = []
+        for few in (0, 10**9):
+            monkeypatch.setattr(search, "_FEW_CANDIDATES", few)
+            routes.append([self.outcome(lambda: gonality(g, budget)) for g in graphs for budget in (None, *range(41))])
+        assert routes[0] == routes[1]
+        assert sum(len(o) == 2 for o in routes[0]) > 3000  # budget errors
 
 
 class TestVerifyCertificate:
