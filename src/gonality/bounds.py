@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -294,6 +295,8 @@ def frieze_alpha_estimate(n: int, c: float) -> float:
     n = _checked_int(n, "frieze_alpha_estimate", "n", 1)
     if not (isinstance(c, numbers.Real) and math.e < c < math.inf):
         raise GonalityError(f"estimate needs a real, finite c > e ~ 2.718, got {c!r}")
+    if n > sys.float_info.max:  # c / n would overflow
+        raise GonalityError(f"estimate needs n to fit in a float, got {n}")
     p = c / n
     return (2.0 / p) * _frieze_bracket(c)
 

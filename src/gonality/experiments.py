@@ -21,7 +21,7 @@ from typing import Optional
 
 from .bounds import _frieze_bracket, maximum_independent_set, treewidth_exact, treewidth_lower_bound
 from .errors import BudgetExceededError, GonalityError, SizeLimitError
-from .graphs import GnpParams, _checked_int, genus, sample_gnp
+from .graphs import _PARSE_MAX_N, GnpParams, _checked_int, genus, sample_gnp
 from .search import gonality
 
 _MASK64 = (1 << 64) - 1
@@ -84,7 +84,7 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        n_list = tuple(_checked_int(n, "ExperimentConfig", "vertex count", 1) for n in self.n_list)
+        n_list = tuple(_checked_int(n, "ExperimentConfig", "vertex count", 1, _PARSE_MAX_N) for n in self.n_list)
         object.__setattr__(self, "n_list", n_list)
         if not self.n_list:
             raise GonalityError("n_list must not be empty")

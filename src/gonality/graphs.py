@@ -116,14 +116,16 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _checked_int(value, caller: str, name: str, least: Optional[int] = None) -> int:
-    """``value`` as an ``int`` of at least ``least`` if given, else a :class:`GonalityError`."""
+def _checked_int(value, caller: str, name: str, least: Optional[int] = None, most: Optional[int] = None) -> int:
+    """``value`` as an ``int`` in ``[least, most]``, each if given, else a :class:`GonalityError`."""
     try:
         value = operator.index(value)
     except TypeError:
         raise GonalityError(f"{caller} needs an integer {name}, got {value!r}") from None
     if least is not None and value < least:
         raise GonalityError(f"{caller} needs {name} >= {least}, got {value}")
+    if most is not None and value > most:
+        raise GonalityError(f"{caller} needs {name} <= {most}, got {value}")
     return value
 
 
@@ -176,7 +178,8 @@ class GnpParams:
 
     ``p`` is always stored as exactly ``c / n``; build from an edge
     probability with :meth:`from_p` (which sets ``c = p * n`` and renormalizes,
-    a no-op beyond float rounding).  ``seed`` is a 64-bit integer.
+    a no-op beyond float rounding).  ``seed`` is a 64-bit integer, and n at
+    most the 10,000 vertices :func:`parse_graph` reads.
     """
 
     n: int
@@ -185,7 +188,7 @@ class GnpParams:
     p: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _checked_int(self.n, "GnpParams", "vertex count", 1))
+        object.__setattr__(self, "n", _checked_int(self.n, "GnpParams", "vertex count", 1, _PARSE_MAX_N))
         object.__setattr__(self, "seed", _checked_int(self.seed, "GnpParams", "seed"))
         if not (0 <= self.seed < 2**64):
             raise GonalityError(f"seed must fit in 64 bits, got {self.seed}")
@@ -196,6 +199,7 @@ class GnpParams:
 
     @classmethod
     def from_p(cls, n: int, p: float, seed: int) -> "GnpParams":
+        n = _checked_int(n, "GnpParams", "vertex count", 1, _PARSE_MAX_N)  # before p * n
         return cls(n=n, c=p * n, seed=seed)
 
 

@@ -6,13 +6,13 @@ q-reduced effective divisors with at least one chip on the base vertex.
 Every positive-rank class contains exactly one such representative, so the
 scan is complete and duplicate-free.
 
-The scan is batched.  Each call first builds, once for every degree it
-may scan, the number of ways each run of trailing vertices can hold r
-chips and, where those ways fit in a chunk, the ways themselves as
-lex-ordered completion tables.  A degree's candidate vectors are then
-built in ascending lex order as numpy chunks of bounded size, most of
-them by one gather from the tables, and Dhar's burn runs on a whole chunk
-at once: the burn from the base keeps the q-reduced rows.  Each row D is
+Each call first counts, once for every degree it may scan, the ways each
+run of trailing vertices can hold r chips.  A degree with at most 16
+candidates is enumerated in plain Python.  A larger one is batched: its
+candidates are built in ascending lex order as numpy chunks of bounded
+size, most of them by one gather from lex-ordered completion tables built
+at the first such degree, and Dhar's burn runs on a whole chunk at once:
+the burn from the base keeps the q-reduced rows.  Each row D is
 then paired with its chip-free vertices v, and the first two Dhar rounds
 of reducing ``D - v`` at base v run on many pairs at once; a pair they
 leave v-reduced with v in debt refutes its row.  The rows left go in lex
@@ -85,7 +85,9 @@ class GonalityResult:
     disconnected graph's ``degrees_searched`` lists each component's in
     turn, each starting at or above that component's own degeneracy floor,
     and its ``refutation_floor`` has no meaning: where ``closed_by`` is
-    ``"components"`` the degrees are no single search's.
+    ``"components"`` the degrees are no single search's.  A value call on a
+    connected graph with a leaf reports its 2-core C's search (see
+    :func:`gonality`), where ``"independence"`` means ``|C| - |I ∩ C|``.
 
     ``closed_by`` names what settled the value: ``"scan"`` (a scanned
     degree held a positive-rank divisor), ``"independence"`` (the scan
@@ -201,6 +203,11 @@ def gonality(
     ``lower_bound`` above ``n - |I|``, which no gonality exceeds (the
     default 1 always stands).
 
+    A value call (``with_certificate=False``) on a connected graph with a
+    leaf searches its 2-core C, or an edge of a tree, with ``I ∩ C`` and
+    ``lower_bound`` (:func:`_peeled` proves the value the same), so the
+    budget counts C's candidates.  A certificate call searches the graph.
+
     Disconnected graphs get the sum of their components' gonalities, and a
     single-vertex component contributes 0; no combined certificate is
     produced in either degenerate case.  Each component C is searched with
@@ -242,6 +249,10 @@ def gonality(
     if graph.n == 1:
         # convention: the one-vertex graph needs no chips to move, value 0
         return GonalityResult(0, None, (), closed_by="components")
+    if not with_certificate and graph.n > 2 and 1 in graph.degrees:
+        sub, keep = induced_subgraph(graph, _peeled(graph))
+        own = frozenset(i for i, v in enumerate(keep) if v in independent)
+        return gonality(sub, budget, with_certificate=False, lower_bound=lower_bound, independent_set=own)
     floor = max(lower_bound, 1)
     closed_by = "independence"
     # the scramble bound is n - alpha, so a set below alpha raises nothing
@@ -266,6 +277,31 @@ def gonality(
 
 
 # -- internals ---------------------------------------------------------------
+
+def _peeled(graph: Graph) -> list[int]:
+    """The vertices left of a connected graph once degree-1 vertices are
+    deleted while more than two remain: the 2-core, or an edge of a tree.
+
+    A deletion keeps gonality.  Let v be a leaf on u, and G - v have two or
+    more vertices.  gon(G) <= gon(G - v): extend a positive-rank D' by 0 at
+    v, and w's script s by s(v) = s(u), so the edge uv moves nothing; for
+    w = v, D - u ~ E >= 0, and firing V - v once moves a chip from u to v.
+    gon(G - v) <= gon(G): fire v alone until it holds no chip, and restrict
+    to G - v; for w != v, E(v) = s(u) - s(v) >= 0, so u keeps E(u) + s(u) -
+    s(v) >= 0.  I ∩ C is independent in C, C has no isolated vertex, and
+    the cap falls by one for each deleted vertex outside I.
+    """
+    deg, adj, gone = list(graph.degrees), graph.adjacency, set()
+    leaves = [v for v in range(graph.n) if deg[v] == 1]
+    while leaves and graph.n - len(gone) > 2:
+        v = leaves.pop()
+        gone.add(v)
+        for w in adj[v] - gone:
+            deg[w] -= 1
+            if deg[w] == 1:
+                leaves.append(w)
+    return [v for v in range(graph.n) if v not in gone]
+
 
 def _check_independent(graph: Graph, vertices) -> None:
     vs = set(vertices)
@@ -403,13 +439,9 @@ def _candidate_chunks(scan: _Scan, d: int) -> Iterator[np.ndarray]:
 
 
 def _few_candidates(scan: _Scan, d: int) -> Iterator[tuple[int, ...]]:
-    """Degree-d candidate chip vectors in ascending lex order, one tuple at
-    a time, for a degree with too few of them to pay for numpy's set-up.
-
-    A partial vector lists its nonzero slots, so that a slot every partial
-    vector leaves empty costs one step each.  The scan's ``budget`` caps
-    the vectors yielded, as in :func:`_candidate_chunks`.
-    """
+    """Degree-d candidate chip vectors in ascending lex order, as tuples,
+    with no numpy set-up; the budget caps them as in :func:`_candidate_chunks`.
+    A partial vector lists only its nonzero slots."""
     caps, room, n = scan.caps.tolist(), scan.room.tolist(), scan.graph.n
     rows = [((), d - 1)]  # (the nonzero (slot, chips) so far, the chips left)
     for i in range(n):
@@ -418,11 +450,8 @@ def _few_candidates(scan: _Scan, d: int) -> Iterator[tuple[int, ...]]:
     for k, (row, _) in enumerate(rows):
         if scan.budget is not None and k >= scan.budget:
             raise BudgetExceededError(f"degree-{d} scan exceeded budget of {scan.budget} candidates")
-        chips = [0] * n
-        for i, c in row:
-            chips[i] = c
-        chips[0] += 1
-        yield tuple(chips)
+        held = dict(row)
+        yield tuple(held.get(v, 0) + (v == 0) for v in range(n))
 
 
 def _burn(graph: Graph, chips: np.ndarray, sources) -> tuple[np.ndarray, np.ndarray]:
@@ -479,24 +508,30 @@ def _refutes(graph: Graph, chips: np.ndarray, sources: np.ndarray) -> np.ndarray
 
 def _scan_degree(scan: _Scan, d: int) -> Optional[tuple[tuple[int, ...], list[list[int]]]]:
     """First positive-rank q-reduced divisor of degree d in lex order, with
-    its witness scripts, if any.
-
-    :func:`_refutes` settles most (row, chip-free vertex) pairs that fail.
-    It first takes each row at its first chip-free vertex, where most
-    failing rows fail, then the rows left at their other chip-free
-    vertices, a part of whole rows and at most a chunk of pairs at a time.
-    Each part's rows that no pair refuted go in lex order to the scalar
-    test, which decides them and supplies the scripts, before the next part
-    burns, so no part past the first hit is burnt.
-    """
+    its witness scripts, if any: the scalar test decides the rows that
+    :func:`_unrefuted` leaves, or, at a degree with few candidates, every
+    q-reduced one."""
     graph = scan.graph
-    if scan.ways[0, d - 1] <= _FEW_CANDIDATES:
-        for chips in _few_candidates(scan, d):
-            if _reduce_chips(graph, list(chips), 0) == list(chips):  # q-reduced: no Dhar round fires
-                scripts = _positive_rank_scripts(graph, chips)
-                if scripts is not None:
-                    return chips, scripts
-        return None
+    if scan.ways[0, d - 1] <= _FEW_CANDIDATES:  # q-reduced: its reduction fires nothing
+        rows = (c for c in _few_candidates(scan, d) if _reduce_chips(graph, list(c), 0) == list(c))
+    else:
+        rows = _unrefuted(scan, d)
+    for chips in rows:
+        scripts = _positive_rank_scripts(graph, chips)
+        if scripts is not None:
+            return chips, scripts
+    return None
+
+
+def _unrefuted(scan: _Scan, d: int) -> Iterator[tuple[int, ...]]:
+    """The q-reduced degree-d candidates that no pair refutes, in lex order.
+    :func:`_refutes` settles most (row, chip-free vertex) pairs that fail:
+    first each row at its first chip-free vertex, where most failing rows
+    fail, then the rows left at their other chip-free vertices, a part of
+    whole rows and at most a chunk of pairs at a time.  Each part's rows
+    are yielded before the next part burns, so no part past the first hit
+    is burnt."""
+    graph = scan.graph
     for rows in _candidate_chunks(scan, d):
         rows = rows[_burn(graph, rows, 0)[0].all(axis=1)]  # the q-reduced rows
         row, v = np.nonzero(rows == 0)
@@ -515,12 +550,8 @@ def _scan_degree(scan: _Scan, d: int) -> Optional[tuple[tuple[int, ...], list[li
             for s in range(a, b, _CHUNK_ROWS):
                 part = slice(s, min(s + _CHUNK_ROWS, b))
                 refuted[row[part][_refutes(graph, rows[row[part]], v[part])]] = True
-            for chips in map(tuple, rows[lo:hi][~refuted[lo:hi]].tolist()):
-                scripts = _positive_rank_scripts(graph, chips)
-                if scripts is not None:
-                    return chips, scripts
+            yield from map(tuple, rows[lo:hi][~refuted[lo:hi]].tolist())
             lo = hi
-    return None
 
 
 def _build_certificate(graph: Graph, chips: tuple[int, ...], scripts: list[list[int]]) -> PositiveRankCertificate:

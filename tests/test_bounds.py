@@ -670,6 +670,12 @@ class TestFriezeEstimate:
         with pytest.raises(GonalityError):
             frieze_alpha_estimate(0, 10)
 
+    def test_n_past_a_float_is_named(self):
+        # c / n raised a bare OverflowError
+        with pytest.raises(GonalityError, match=f"got {10**400}"):
+            frieze_alpha_estimate(10**400, 5.0)
+        assert frieze_alpha_estimate(10**300, 5.0) == pytest.approx(10**300 * frieze_alpha_estimate(1, 5.0))
+
     @pytest.mark.parametrize("n", ["3", 2.5, None])
     def test_n_must_be_an_integer(self, n):
         with pytest.raises(GonalityError, match="frieze_alpha_estimate needs an integer n"):

@@ -271,6 +271,8 @@ _NUMBERS = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "NaN", "1e400", "-0", "0", "-1", "2.5", "p:nan"]),
     st.floats().map(repr),
 )
+# vertex counts past the 10,000 that parse_graph reads, one past a float too
+_HUGE = st.sampled_from([str(10**400), "1000000", "100000", "10001"])
 _JUNK = st.sampled_from([b"\xff", b"\xc3", b"\x00", b"x", b"-", b" ", b"\n", b"9", b"nan", b"1.5"])
 
 
@@ -289,14 +291,18 @@ def _corrupted(draw, text: str) -> bytes:
 
 @st.composite
 def _argv(draw, tmp: str) -> list[str]:
-    """One subcommand's arguments, with any of the three faults drawn in:
-    corrupted input files, an output path in a missing directory, and
-    numbers that are non-finite or out of range.  Without a fault a value
+    """One subcommand's arguments, with any of the four faults drawn in:
+    corrupted input files, an output path in a missing directory, numbers
+    that are non-finite or out of range, and vertex counts past the 10,000
+    that parse_graph reads or past a float.  Without a fault a value
     is one the command accepts, so each fault also meets the deep paths."""
-    faults = draw(st.sets(st.sampled_from(["file", "output", "number"])))
+    faults = draw(st.sets(st.sampled_from(["file", "output", "number", "size"])))
 
     def number(*good: str) -> str:
         return draw(_NUMBERS if "number" in faults else st.sampled_from(good))
+
+    def size(*good: str) -> str:  # a vertex count
+        return draw(_HUGE) if "size" in faults else number(*good)
 
     def flags(**values) -> list[str]:  # each flag left out or given its value
         return [f for name, v in values.items() if draw(st.booleans()) for f in (f"--{name.replace('_', '-')}", v())]
@@ -320,14 +326,15 @@ def _argv(draw, tmp: str) -> list[str]:
         return [command, graph_file, "--divisor", divisor, *base]
     if command == "bounds":
         return [command, graph_file, *flags(budget=lambda: number("1", "100"), tw_limit=lambda: number("0", "16"),
-                                            td_out=lambda: out, n=lambda: number("10"), c=lambda: number("3", "5.5"))]
+                                            td_out=lambda: out, n=lambda: size("10"), c=lambda: number("3", "5.5"))]
     if command == "sample":
         rate = draw(st.sampled_from([["--c", number("2", "3.5")], ["--p", number("0.5", "1", "0")]]))
-        return [command, "--n", number("5", "8"), "--seed", number("1", "7"), *rate, *flags(out=lambda: out)]
+        return [command, "--n", size("5", "8"), "--seed", number("1", "7"), *rate, *flags(out=lambda: out)]
     if command == "experiment":
         c_spec = draw(st.sampled_from(["sqrt", "log", "p:" + number("0.5", "1"), number("2", "3.5")]))
         # one worker: a process pool per example would take most of the time
-        return [command, "--n", ",".join([number("5", "6")] * draw(st.integers(1, 2))), "--c", c_spec,
+        return [command, "--n", ",".join([size("5", "6")] * draw(st.integers(1, 2))), "--c", c_spec,
+                "--mode", draw(st.sampled_from(["exact", "sandwich"])),
                 "--trials", number("1", "2"), "--seed", number("1", "7"),
                 *flags(budget=lambda: number("1", "50"), out=lambda: out)]
     return [command, graph_file, cert_file]
@@ -335,8 +342,8 @@ def _argv(draw, tmp: str) -> list[str]:
 
 class TestCLIProperty:
     """Every subcommand, given corrupted or non-UTF-8 files, output paths in
-    missing directories and non-finite numbers, exits 0, 1 or 2 and never
-    with a traceback."""
+    missing directories, non-finite numbers and vertex counts past the
+    limits, exits 0, 1 or 2 and never with a traceback."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(st.data())

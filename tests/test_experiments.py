@@ -77,6 +77,12 @@ class TestConfig:
         with pytest.raises(GonalityError):
             ExperimentConfig(n_list=(4,), c_spec="8", trials=1, seed=1)
 
+    def test_n_past_what_parse_graph_reads(self):
+        # c_of's math.sqrt overflowed on the first
+        for n in (10**400, 10_001):
+            with pytest.raises(GonalityError, match="vertex count <= 10000"):
+                ExperimentConfig(n_list=(n,), c_spec="sqrt", trials=1, seed=1, mode="sandwich")
+
     def test_bad_mode(self):
         with pytest.raises(GonalityError):
             ExperimentConfig(n_list=(6,), c_spec="2", trials=1, seed=1, mode="fast")

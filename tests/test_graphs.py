@@ -212,6 +212,14 @@ class TestGnp:
         with pytest.raises(GonalityError):
             GnpParams(10, 1.0, 1 << 64)
 
+    @pytest.mark.parametrize("n", [10**400, 10**6, 10_001])
+    def test_n_past_what_parse_graph_reads(self, n):
+        # 10**400 overflowed c / n and p * n; 10**6 drew pairs for minutes
+        for make in (lambda: GnpParams(n, 5.0, 1), lambda: GnpParams.from_p(n, 0.5, 1)):
+            with pytest.raises(GonalityError, match="vertex count <= 10000"):
+                make()
+        assert GnpParams(10_000, 5.0, 1).n == 10_000
+
     @pytest.mark.parametrize("n", [2, 7, 9, 60, 362, 363, 400, 1000])
     def test_blocks_draw_the_one_shot_stream(self, n):
         # from n = 363 the pairs span more than one block of draws

@@ -426,6 +426,43 @@ class TestComponentAccelerators:
                 pytest.fail("no component ran out of the budget alone")
 
 
+@st.composite
+def pendant_trees(draw):
+    """A drawn connected graph of 1 to 5 vertices with 1 to 4 vertices hung
+    on it as trees, each on an earlier vertex, its labels shuffled so that
+    vertex 0 sometimes lands on a tree."""
+    base = draw_connected_graph(SimpleNamespace(draw=draw), 1, 5)
+    n = base.n + draw(st.integers(1, 4))
+    edges = [*base.edges, *((draw(st.integers(0, v - 1)), v) for v in range(base.n, n))]
+    label = draw(st.permutations(range(n)))
+    return build_graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+class TestTwoCore:
+    """A value call on a connected graph with a leaf searches its 2-core,
+    or an edge where the graph is a tree: deleting a leaf leaves gonality
+    unchanged while two vertices remain."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(pendant_trees(), st.booleans())
+    def test_value_call_equals_brute_force_and_the_certificate_call(self, g, accelerated):
+        fast = {}
+        if accelerated:
+            fast = {"lower_bound": treewidth_exact(g)[0],
+                    "independent_set": maximum_independent_set(g).independent.vertices}
+        real, scanned = search._Scan, []
+        search._Scan = lambda graph, *rest: scanned.append(graph) or real(graph, *rest)
+        try:
+            value = gonality(g, with_certificate=False, **fast).value
+        finally:
+            search._Scan = real
+        assert all(min(s.degrees) >= 2 or s.n == 2 for s in scanned)
+        assert value == brute_gonality(g) == gonality(g, **fast).value
+
+    def test_long_path_is_an_edge(self):
+        assert gonality(path_graph(2000), with_certificate=False) == search.GonalityResult(1, None, (1,))
+
+
 class TestPositiveRankAgainstBaseZero:
     """The scan's test reduces ``D - v`` at v; the reference reduces it at 0."""
 
@@ -736,34 +773,48 @@ class TestRefutationKernel:
 
 
 class TestScanOutcomesDigest:
-    def test_outcomes_match_their_pinned_digest(self):
-        """sha256 over 300 seeded connected graphs (n 2 to 12): each result
-        of the default call and of the call with exact treewidth and a
-        maximum independent set, and the outcome at every budget from 0 to
-        40, a result or the error's text and refuted degrees.  The digest
-        is that of the scan that grew each degree's candidates slot by slot
-        with no per-graph tables."""
-        def outcome(res):
+    """sha256 digests over 300 seeded connected graphs (n 2 to 12), each
+    searched as is and with exact treewidth and a maximum independent set:
+    a result, or a budget error's text and refuted degrees."""
+
+    @staticmethod
+    def digest(calls) -> str:
+        def outcome(call):
+            try:
+                res = call()
+            except BudgetExceededError as exc:
+                return str(exc), exc.degrees_refuted
             cert = None if res.certificate is None else serialize_certificate(res.certificate)
             return res.value, res.degrees_searched, res.refutation_floor, res.closed_by, cert
 
         rnd = random.Random(44)
         h = hashlib.sha256()
-        raised = 0
         for _ in range(300):
             g = random_connected_graph(rnd, rnd.randint(2, 12), rnd.choice((0.2, 0.4, 0.6, 0.9)))
-            h.update(repr(outcome(gonality(g))).encode())
-            mis = maximum_independent_set(g).independent.vertices
-            h.update(repr(outcome(gonality(g, lower_bound=treewidth_exact(g)[0], independent_set=mis))).encode())
+            fast = {"lower_bound": treewidth_exact(g)[0],
+                    "independent_set": maximum_independent_set(g).independent.vertices}
+            for call in calls(g, fast):
+                h.update(repr(outcome(call)).encode())
+        return h.hexdigest()
+
+    def test_certificate_calls_match_their_pinned_digest(self):
+        """Each certificate is the lex-first hit on the graph itself.  The
+        digest is that of the scan that grew each degree's candidates slot
+        by slot with no per-graph tables, and of every scan since."""
+        digest = self.digest(lambda g, fast: (lambda: gonality(g), lambda: gonality(g, **fast)))
+        assert digest == "9053f29603fa1433d8c1d0dd8ca4d7fddf17d5d94d909a0242684b8ecf534ac3"
+
+    def test_value_calls_and_budgets_match_their_pinned_digest(self):
+        """The value calls, and the value call at every budget from 0 to 40.
+        A value call searches the 2-core of a graph with a pendant vertex,
+        so its degrees, closure and budget are the core's."""
+        def calls(g, fast):
+            yield lambda: gonality(g, with_certificate=False)
+            yield lambda: gonality(g, with_certificate=False, **fast)
             for budget in range(41):
-                try:
-                    got = outcome(gonality(g, budget, with_certificate=False))
-                except BudgetExceededError as exc:
-                    raised += 1
-                    got = str(exc), exc.degrees_refuted
-                h.update(repr(got).encode())
-        assert raised > 5000
-        assert h.hexdigest() == "95be13140e7f87cfb5f1efb487c6d87334343c7e9eaff3b752de198f46266df6"
+                yield lambda: gonality(g, budget, with_certificate=False)
+
+        assert self.digest(calls) == "44ad6c6474511cff87b4c9aed4476a4830e360055b5107443a62385d19a42a6b"
 
 
 class TestScanAllocation:
