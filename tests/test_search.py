@@ -551,6 +551,17 @@ def _scalar_scan_degree(graph, d: int,
     return None
 
 
+def _search_outcome(call):
+    """A gonality call's result with its certificate's text, or its budget
+    error's text and refuted degrees."""
+    try:
+        res = call()
+    except BudgetExceededError as exc:
+        return str(exc), exc.degrees_refuted
+    cert = None if res.certificate is None else serialize_certificate(res.certificate)
+    return res.value, res.degrees_searched, res.refutation_floor, res.closed_by, cert
+
+
 def _outcome(call):
     try:
         return call()
@@ -675,14 +686,6 @@ class TestSmallDegreeRoute:
     Every third connected graph of up to seven vertices, and a few larger
     ones, at each budget from 0 to 40."""
 
-    @staticmethod
-    def outcome(call):
-        try:
-            res = call()
-        except BudgetExceededError as exc:
-            return str(exc), exc.degrees_refuted
-        return res.value, res.degrees_searched, res.closed_by, serialize_certificate(res.certificate)
-
     def test_both_routes_end_every_call_alike(self, monkeypatch):
         graphs = [g for g in connected_atlas(7) if g.n >= 2][::3]
         rnd = random.Random(45)
@@ -690,7 +693,7 @@ class TestSmallDegreeRoute:
         routes = []
         for few in (0, 10**9):
             monkeypatch.setattr(search, "_FEW_CANDIDATES", few)
-            routes.append([self.outcome(lambda: gonality(g, budget)) for g in graphs for budget in (None, *range(41))])
+            routes.append([_search_outcome(lambda: gonality(g, budget)) for g in graphs for budget in (None, *range(41))])
         assert routes[0] == routes[1]
         assert sum(len(o) == 2 for o in routes[0]) > 3000  # budget errors
 
@@ -779,14 +782,6 @@ class TestScanOutcomesDigest:
 
     @staticmethod
     def digest(calls) -> str:
-        def outcome(call):
-            try:
-                res = call()
-            except BudgetExceededError as exc:
-                return str(exc), exc.degrees_refuted
-            cert = None if res.certificate is None else serialize_certificate(res.certificate)
-            return res.value, res.degrees_searched, res.refutation_floor, res.closed_by, cert
-
         rnd = random.Random(44)
         h = hashlib.sha256()
         for _ in range(300):
@@ -794,7 +789,7 @@ class TestScanOutcomesDigest:
             fast = {"lower_bound": treewidth_exact(g)[0],
                     "independent_set": maximum_independent_set(g).independent.vertices}
             for call in calls(g, fast):
-                h.update(repr(outcome(call)).encode())
+                h.update(repr(_search_outcome(call)).encode())
         return h.hexdigest()
 
     def test_certificate_calls_match_their_pinned_digest(self):
