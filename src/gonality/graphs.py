@@ -271,13 +271,16 @@ def induced_subgraph(graph: Graph, vertices: Sequence[int]) -> tuple[Graph, tupl
     originals (sorted ascending).
     """
     keep = tuple(sorted(set(vertices)))
+    return _restricted(graph, keep)[0], keep
+
+
+def _restricted(graph: Graph, keep: Sequence[int], marked: Iterable[int] = ()) -> tuple[Graph, frozenset[int]]:
+    """Subgraph induced by the distinct vertices ``keep``, with ``keep[i]``
+    relabeled to ``i``, and the vertices of ``marked`` in it, relabeled alike."""
     index = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (index[u], index[v])
-        for u, v in graph.edges
-        if u in index and v in index
-    ]
-    return Graph(len(keep), tuple(sorted(edges))), keep
+    edges = ((index[u], index[v]) for u, v in graph.edges if u in index and v in index)
+    sub = Graph(len(index), tuple(sorted((a, b) if a < b else (b, a) for a, b in edges)))
+    return sub, frozenset(index[v] for v in marked if v in index)
 
 
 def serialize_graph(graph: Graph) -> str:

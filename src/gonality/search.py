@@ -11,13 +11,15 @@ run of trailing vertices can hold r chips.  A degree with at most 16
 candidates is enumerated in plain Python.  A larger one is batched: its
 candidates are built in ascending lex order as numpy chunks of bounded
 size, most of them by one gather from lex-ordered completion tables built
-at the first such degree, and Dhar's burn runs on a whole chunk at once:
-the burn from the base keeps the q-reduced rows.  Each row D is
-then paired with its chip-free vertices v, and the first two Dhar rounds
-of reducing ``D - v`` at base v run on many pairs at once; a pair they
-leave v-reduced with v in debt refutes its row.  The rows left go in lex
-order to the scalar positive-rank test, which decides them and supplies
-the witness scripts, so the first row it accepts is the lex-first hit.
+at the first such degree.  Each row D is paired with its chip-free
+vertices v, and the first two Dhar rounds of reducing ``D - v`` at base v
+run on many pairs at once; a pair they leave v-reduced with v in debt
+refutes its row, q-reduced or not.  On either route a row is then kept only
+if its reduction at the base fires nothing, and the q-reduced rows go in
+lex order to the scalar positive-rank test, which decides them and supplies
+the witness scripts, so the first row it accepts is the lex-first hit.  A
+value call scans the graph relabelled max-degree-first, so that the base
+has the largest degree; a certificate call scans the graph's own labels.
 
 Every reported value carries a certificate: the witness divisor plus, for
 each vertex v, a firing script taking ``divisor - v`` to an effective
@@ -55,7 +57,7 @@ from .errors import (
     GonalityError,
     NotIndependentError,
 )
-from .graphs import Graph, _checked_int, degeneracy, induced_subgraph
+from .graphs import Graph, _checked_int, _restricted, degeneracy
 
 
 @dataclass(frozen=True)
@@ -76,18 +78,18 @@ class GonalityResult:
 
     ``degrees_searched`` lists every degree that was actually scanned, the
     successful one last, or ``n - |I|`` last, unscanned, when the
-    independence construction closed it.  Degrees below ``refutation_floor``
-    were excluded without scanning, by a caller-supplied certified lower
-    bound or by the edge-scramble bound; a floor of 1 means everything
-    below the value was refuted by exhaustive enumeration.
+    independence construction closed it.  Degrees below the first one
+    searched were excluded without scanning, by a caller-supplied certified
+    lower bound or by the edge-scramble bound; a first degree of 1 means
+    everything below the value was refuted by exhaustive enumeration.
     ``certificate`` is ``None`` for disconnected graphs (the value is then
     the sum over components) and for the single-vertex graph.  A
     disconnected graph's ``degrees_searched`` lists each component's in
-    turn, each starting at or above that component's own degeneracy floor,
-    and its ``refutation_floor`` has no meaning: where ``closed_by`` is
-    ``"components"`` the degrees are no single search's.  A value call on a
-    connected graph with a leaf reports its 2-core C's search (see
-    :func:`gonality`), where ``"independence"`` means ``|C| - |I ∩ C|``.
+    turn, each starting at or above that component's own degeneracy floor:
+    where ``closed_by`` is ``"components"`` the degrees are no single
+    search's.  A value call on a connected graph with a leaf reports its
+    2-core C's search (see :func:`gonality`), where ``"independence"``
+    means ``|C| - |I ∩ C|``.
 
     ``closed_by`` names what settled the value: ``"scan"`` (a scanned
     degree held a positive-rank divisor), ``"independence"`` (the scan
@@ -101,12 +103,6 @@ class GonalityResult:
     certificate: Optional[PositiveRankCertificate]
     degrees_searched: tuple[int, ...]
     closed_by: str = "scan"
-
-    @property
-    def refutation_floor(self) -> int:
-        """The first degree searched, or 1 where none was; meaningless
-        where ``closed_by`` is ``"components"``."""
-        return self.degrees_searched[0] if self.degrees_searched else 1
 
 
 def verify_certificate(graph: Graph, cert: PositiveRankCertificate) -> bool:
@@ -206,7 +202,9 @@ def gonality(
     A value call (``with_certificate=False``) on a connected graph with a
     leaf searches its 2-core C, or an edge of a tree, with ``I ∩ C`` and
     ``lower_bound`` (:func:`_peeled` proves the value the same), so the
-    budget counts C's candidates.  A certificate call searches the graph.
+    budget counts C's candidates, in max-degree-first order: a value call
+    scans the graph relabelled by descending degree, ties by label.  A
+    certificate call scans the graph in its own labels.
 
     Disconnected graphs get the sum of their components' gonalities, and a
     single-vertex component contributes 0; no combined certificate is
@@ -234,9 +232,8 @@ def gonality(
     if len(comps) > 1:
         searched, total = [], 0
         for comp in comps:
-            sub, keep = induced_subgraph(graph, comp)
             # I ∩ C is independent in C, and gon >= tw >= degeneracy
-            own = frozenset(i for i, v in enumerate(keep) if v in independent)
+            sub, own = _restricted(graph, comp, independent)
             try:
                 part = gonality(sub, budget, with_certificate=False,
                                 lower_bound=max(1, degeneracy(sub)), independent_set=own)
@@ -250,8 +247,7 @@ def gonality(
         # convention: the one-vertex graph needs no chips to move, value 0
         return GonalityResult(0, None, (), closed_by="components")
     if not with_certificate and graph.n > 2 and 1 in graph.degrees:
-        sub, keep = induced_subgraph(graph, _peeled(graph))
-        own = frozenset(i for i, v in enumerate(keep) if v in independent)
+        sub, own = _restricted(graph, _peeled(graph), independent)
         return gonality(sub, budget, with_certificate=False, lower_bound=lower_bound, independent_set=own)
     floor = max(lower_bound, 1)
     closed_by = "independence"
@@ -260,8 +256,12 @@ def gonality(
             and maximum_independent_set(graph).alpha == len(independent)):
         floor, closed_by = cap, "scramble"
 
-    searched = []
-    scan = _Scan(graph, cap - 1, budget) if floor < cap else None
+    searched, scan = [], None
+    if floor < cap:
+        scanned = graph
+        if not with_certificate:  # any labels give the value; these set the budget's order
+            scanned = _restricted(graph, sorted(range(graph.n), key=lambda v: -graph.degrees[v]))[0]
+        scan = _Scan(scanned, cap - 1, budget)
     for d in range(floor, cap):
         try:
             hit = _scan_degree(scan, d)
@@ -508,15 +508,15 @@ def _refutes(graph: Graph, chips: np.ndarray, sources: np.ndarray) -> np.ndarray
 
 def _scan_degree(scan: _Scan, d: int) -> Optional[tuple[tuple[int, ...], list[list[int]]]]:
     """First positive-rank q-reduced divisor of degree d in lex order, with
-    its witness scripts, if any: the scalar test decides the rows that
-    :func:`_unrefuted` leaves, or, at a degree with few candidates, every
-    q-reduced one."""
+    its witness scripts, if any.  The rows are those :func:`_unrefuted`
+    leaves or, at a degree with few candidates, every candidate; the scalar
+    test decides the q-reduced ones, whose reduction at the base fires
+    nothing."""
     graph = scan.graph
-    if scan.ways[0, d - 1] <= _FEW_CANDIDATES:  # q-reduced: its reduction fires nothing
-        rows = (c for c in _few_candidates(scan, d) if _reduce_chips(graph, list(c), 0) == list(c))
-    else:
-        rows = _unrefuted(scan, d)
+    rows = _few_candidates(scan, d) if scan.ways[0, d - 1] <= _FEW_CANDIDATES else _unrefuted(scan, d)
     for chips in rows:
+        if _reduce_chips(graph, list(chips), 0) != list(chips):
+            continue
         scripts = _positive_rank_scripts(graph, chips)
         if scripts is not None:
             return chips, scripts
@@ -524,7 +524,9 @@ def _scan_degree(scan: _Scan, d: int) -> Optional[tuple[tuple[int, ...], list[li
 
 
 def _unrefuted(scan: _Scan, d: int) -> Iterator[tuple[int, ...]]:
-    """The q-reduced degree-d candidates that no pair refutes, in lex order.
+    """The degree-d candidates that no pair refutes, in lex order, q-reduced
+    or not: a refuted pair proves rank 0 for any effective row, so the
+    caller tests q-reducedness only on the few rows left.
     :func:`_refutes` settles most (row, chip-free vertex) pairs that fail:
     first each row at its first chip-free vertex, where most failing rows
     fail, then the rows left at their other chip-free vertices, a part of
@@ -533,7 +535,6 @@ def _unrefuted(scan: _Scan, d: int) -> Iterator[tuple[int, ...]]:
     is burnt."""
     graph = scan.graph
     for rows in _candidate_chunks(scan, d):
-        rows = rows[_burn(graph, rows, 0)[0].all(axis=1)]  # the q-reduced rows
         row, v = np.nonzero(rows == 0)
         first = np.ones(len(row), dtype=bool)
         first[1:] = row[1:] != row[:-1]

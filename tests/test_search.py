@@ -48,6 +48,7 @@ from oracles import (
     draw_connected_graph,
     is_q_reduced,
     random_connected_graph,
+    random_graph,
 )
 
 
@@ -127,7 +128,7 @@ class TestGonalityResult:
     def test_degrees_searched_audit(self):
         result = gonality(cycle_graph(5))
         assert result.degrees_searched == (1, 2)
-        assert result.refutation_floor == 1
+        assert result.degrees_searched[0] == 1
 
     def test_witness_is_lex_smallest(self):
         rnd = random.Random(32)
@@ -213,7 +214,7 @@ class TestScrambleClosure:
             if result.closed_by == "scramble":
                 closed += 1
                 assert bound == value
-                assert result.degrees_searched == (value,) == (result.refutation_floor,)
+                assert result.degrees_searched == (value,) == (result.degrees_searched[0],)
                 assert verify_certificate(g, result.certificate)
         assert closed > 20
 
@@ -238,7 +239,7 @@ class TestScrambleClosure:
         assert result.value == 4 and result.closed_by == "scan"
         result = gonality(g, independent_set=frozenset({0, 3}))
         assert result.value == 4 and result.closed_by == "scramble"
-        assert result.degrees_searched == (4,) and result.refutation_floor == 4
+        assert result.degrees_searched == (4,) and result.degrees_searched[0] == 4
 
     def test_closed_by_names_each_path(self):
         k4 = complete_graph(4)
@@ -463,6 +464,33 @@ class TestTwoCore:
         assert gonality(path_graph(2000), with_certificate=False) == search.GonalityResult(1, None, (1,))
 
 
+class TestValueCallOrder:
+    """A value call scans the graph relabelled max-degree-first, ties by
+    label, and a certificate call scans the graph in its own labels; both
+    give the value."""
+
+    def test_both_calls_equal_brute_force(self, monkeypatch):
+        # every connected graph of up to six vertices, then random graphs
+        # that have a leaf or are disconnected
+        graphs = connected_atlas(6)
+        rnd, total = random.Random(48), len(graphs) + 60
+        while len(graphs) < total:
+            g = random_graph(rnd, rnd.randint(2, 7), rnd.choice((0.2, 0.3, 0.5)))
+            if 1 in g.degrees or not g.is_connected():
+                graphs.append(g)
+        real, scanned = search._Scan, []
+        monkeypatch.setattr(search, "_Scan", lambda graph, *rest: scanned.append(graph) or real(graph, *rest))
+        for g in graphs:
+            brute = sum(_brute_gonality(induced_subgraph(g, c)[0]) for c in g.components)
+            scanned.clear()
+            assert gonality(g, with_certificate=False).value == brute, g.edges
+            assert all(list(s.degrees) == sorted(s.degrees, reverse=True) for s in scanned)
+            scanned.clear()
+            assert gonality(g).value == brute, g.edges
+            if g.is_connected():
+                assert all(s is g for s in scanned)
+
+
 class TestPositiveRankAgainstBaseZero:
     """The scan's test reduces ``D - v`` at v; the reference reduces it at 0."""
 
@@ -559,7 +587,9 @@ def _search_outcome(call):
     except BudgetExceededError as exc:
         return str(exc), exc.degrees_refuted
     cert = None if res.certificate is None else serialize_certificate(res.certificate)
-    return res.value, res.degrees_searched, res.refutation_floor, res.closed_by, cert
+    # the first degree searched, or 1 where none was: the digests were pinned with it
+    first = res.degrees_searched[0] if res.degrees_searched else 1
+    return res.value, res.degrees_searched, first, res.closed_by, cert
 
 
 def _outcome(call):
@@ -761,6 +791,31 @@ class TestRefutationKernel:
                         refuted, first_burn = refuted + a, first_burn + b
         assert first_burn > 100_000 and refuted > first_burn + 2000
 
+    def test_q_check_after_refutation_keeps_the_rows_of_the_check_before(self):
+        # the rows _unrefuted leaves that are q-reduced by definition are the
+        # rows of q-reducing first and then refuting, in the same order
+        rnd = random.Random(47)
+        kept = dropped = 0
+        for n in range(2, 17):
+            for p in (0.3, 0.5, 0.9):
+                g = random_connected_graph(rnd, n, p)
+                scan, seen = search._Scan(g, g.n, None), 0
+                for d in range(1, g.n):
+                    if seen >= 400:
+                        break
+                    before = []
+                    for chunk in search._candidate_chunks(scan, d):
+                        seen += len(chunk)
+                        rows = chunk[[is_q_reduced(g, r, 0) for r in chunk.tolist()]]
+                        row, v = np.nonzero(rows == 0)
+                        refuted = np.zeros(len(rows), dtype=bool)
+                        refuted[row[search._refutes(g, rows[row], v)]] = True
+                        before += map(tuple, rows[~refuted].tolist())
+                    left = list(search._unrefuted(scan, d))
+                    assert [r for r in left if is_q_reduced(g, r, 0)] == before, (g.edges, d)
+                    kept, dropped = kept + len(before), dropped + len(left) - len(before)
+        assert kept > 900 and dropped > 2000  # rows past refutation that the q-check drops
+
     def test_fire_wider_than_the_scan_dtype(self):
         # K14 less the edges from 0, bar 0-1: the burn from 0 lights 1 only,
         # and the other twelve fire 11 times, 132 chips onto 1, past int8
@@ -809,7 +864,7 @@ class TestScanOutcomesDigest:
             for budget in range(41):
                 yield lambda: gonality(g, budget, with_certificate=False)
 
-        assert self.digest(calls) == "44ad6c6474511cff87b4c9aed4476a4830e360055b5107443a62385d19a42a6b"
+        assert self.digest(calls) == "25dcd141dd2b3a575c3cca8449ac645eda035fc2fba57f2bbe192705318d3997"
 
 
 class TestScanAllocation:
