@@ -67,8 +67,10 @@ def _note(args, message: str) -> None:
 
 
 def _cmd_gonality(args) -> int:
+    if args.out is not None and not args.certificate:
+        raise GonalityError("--out writes the certificate, so it needs --certificate")
     graph = _load_graph(args.graph)
-    with _output(args.out if args.certificate else None) as out:
+    with _output(args.out) as out:
         result = gonality(graph, args.budget, with_certificate=args.certificate)
         print(result.value)
         if args.certificate:

@@ -333,12 +333,9 @@ def run_experiment(
     return summarize(records), records
 
 
-def record_to_csv_row(r: TrialRecord) -> str:
-    return ",".join(write(getattr(r, field)) for field, write, _ in _COLUMNS)
-
-
 def records_csv_text(records: list[TrialRecord]) -> str:
-    return "".join(f"{line}\n" for line in [CSV_HEADER, *map(record_to_csv_row, records)])
+    rows = (",".join(write(getattr(r, field)) for field, write, _ in _COLUMNS) for r in records)
+    return "".join(f"{line}\n" for line in [CSV_HEADER, *rows])
 
 
 def write_records_csv(records: list[TrialRecord], path: str) -> None:

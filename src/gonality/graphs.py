@@ -290,7 +290,7 @@ def serialize_graph(graph: Graph) -> str:
 
 
 # up to here the scan's n x n float32 adjacency matrix stays under 400 MB,
-# and its (n + 1) x n int16 count table under 200 MB
+# and its (n + 1) x n int16 count table under 200 MB; the scan refuses more
 _PARSE_MAX_N = 10_000
 
 

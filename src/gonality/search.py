@@ -6,20 +6,21 @@ q-reduced effective divisors with at least one chip on the base vertex.
 Every positive-rank class contains exactly one such representative, so the
 scan is complete and duplicate-free.
 
-Each call first counts, once for every degree it may scan, the ways each
-run of trailing vertices can hold r chips.  A degree with at most 16
-candidates is enumerated in plain Python.  A larger one is batched: its
-candidates are built in ascending lex order as numpy chunks of bounded
-size, most of them by one gather from lex-ordered completion tables built
-at the first such degree.  Each row D is paired with its chip-free
-vertices v, and the first two Dhar rounds of reducing ``D - v`` at base v
-run on many pairs at once; a pair they leave v-reduced with v in debt
-refutes its row, q-reduced or not.  On either route a row is then kept only
-if its reduction at the base fires nothing, and the q-reduced rows go in
-lex order to the scalar positive-rank test, which decides them and supplies
-the witness scripts, so the first row it accepts is the lex-first hit.  A
-value call scans the graph relabelled max-degree-first, so that the base
-has the largest degree; a certificate call scans the graph's own labels.
+Each call first counts, once for every degree it may scan, the ways each run
+of trailing vertices can hold r chips.  A degree with at most 16 candidates
+is enumerated in plain Python.  A larger one is batched: its candidates are
+built in ascending lex order as numpy chunks of bounded size, most of them by
+one gather from lex-ordered completion tables built at the first such degree.
+Each row D is paired with its chip-free vertices v, and the first two Dhar
+rounds of reducing ``D - v`` at base v run on many pairs at once: one pair
+per row, then the rest in one flat loop over chunk-sized slices that yields
+each slice's settled rows before the next burns.  A pair they leave v-reduced
+with v in debt refutes its row, q-reduced or not.  On either route a row is
+then kept only if its reduction at the base fires nothing, and the q-reduced
+rows go in lex order to the scalar positive-rank test, which decides them and
+supplies the witness scripts, so the first row it accepts is the lex-first
+hit.  A value call scans the graph relabelled max-degree-first, so that the
+base has the largest degree; a certificate call scans the graph's own labels.
 
 Every reported value carries a certificate: the witness divisor plus, for
 each vertex v, a firing script taking ``divisor - v`` to an effective
@@ -56,8 +57,9 @@ from .errors import (
     CertificateError,
     GonalityError,
     NotIndependentError,
+    SizeLimitError,
 )
-from .graphs import Graph, _checked_int, _restricted, degeneracy
+from .graphs import _PARSE_MAX_N, Graph, _checked_int, _restricted, degeneracy
 
 
 @dataclass(frozen=True)
@@ -350,6 +352,8 @@ class _Scan:
 
     def __init__(self, graph: Graph, top: int, budget: Optional[int]) -> None:
         n = graph.n
+        if n > _PARSE_MAX_N:  # before the count table, and the adjacency matrix the burns build
+            raise SizeLimitError(f"the gonality scan is limited to n <= {_PARSE_MAX_N}, got {n}")
         self.graph, self.budget = graph, budget
         self.caps = np.array([top - 1] + [graph.degree(v) - 1 for v in range(1, n)])
         self.room = np.append(self.caps[::-1].cumsum()[::-1], 0)
@@ -526,13 +530,12 @@ def _scan_degree(scan: _Scan, d: int) -> Optional[tuple[tuple[int, ...], list[li
 def _unrefuted(scan: _Scan, d: int) -> Iterator[tuple[int, ...]]:
     """The degree-d candidates that no pair refutes, in lex order, q-reduced
     or not: a refuted pair proves rank 0 for any effective row, so the
-    caller tests q-reducedness only on the few rows left.
-    :func:`_refutes` settles most (row, chip-free vertex) pairs that fail:
-    first each row at its first chip-free vertex, where most failing rows
-    fail, then the rows left at their other chip-free vertices, a part of
-    whole rows and at most a chunk of pairs at a time.  Each part's rows
-    are yielded before the next part burns, so no part past the first hit
-    is burnt."""
+    caller tests q-reducedness only on the few rows left.  :func:`_refutes`
+    settles most (row, chip-free vertex) pairs that fail: first each row at
+    its first chip-free vertex, where most failing rows fail, then the rows
+    left at their other chip-free vertices, ``_CHUNK_ROWS`` pairs at a time.
+    Each slice settles the rows below the next slice's first row, yielded
+    before the next slice burns, so no slice past the hit's last pair burns."""
     graph = scan.graph
     for rows in _candidate_chunks(scan, d):
         row, v = np.nonzero(rows == 0)
@@ -543,16 +546,13 @@ def _unrefuted(scan: _Scan, d: int) -> Iterator[tuple[int, ...]]:
         rest = ~first & ~refuted[row]
         row, v = row[rest], v[rest]
         lo = 0
-        while lo < len(rows):
-            # the rows from lo whose pairs fit in a chunk, at least one
-            a = row.searchsorted(lo)
-            hi = len(rows) if a + _CHUNK_ROWS >= len(row) else max(lo + 1, int(row[a + _CHUNK_ROWS]))
-            b = row.searchsorted(hi)
-            for s in range(a, b, _CHUNK_ROWS):
-                part = slice(s, min(s + _CHUNK_ROWS, b))
-                refuted[row[part][_refutes(graph, rows[row[part]], v[part])]] = True
+        for s in range(0, len(row), _CHUNK_ROWS):
+            part = slice(s, s + _CHUNK_ROWS)
+            refuted[row[part][_refutes(graph, rows[row[part]], v[part])]] = True
+            hi = int(row[part.stop]) if part.stop < len(row) else len(rows)  # the next slice's first row
             yield from map(tuple, rows[lo:hi][~refuted[lo:hi]].tolist())
             lo = hi
+        yield from map(tuple, rows[lo:][~refuted[lo:]].tolist())
 
 
 def _build_certificate(graph: Graph, chips: tuple[int, ...], scripts: list[list[int]]) -> PositiveRankCertificate:

@@ -240,6 +240,17 @@ class TestIOContract:
         assert f"error: cannot write {out}" in captured.err
         assert captured.out == ""
 
+    def test_out_without_certificate_is_bad_usage(self, k4_file, tmp_path, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("gonality ran although --out has no certificate to write")
+
+        monkeypatch.setattr(cli, "gonality", no_work)
+        out = tmp_path / "c.txt"
+        assert main(["gonality", k4_file, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "error: --out writes the certificate, so it needs --certificate" in captured.err
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("c", ["inf", "nan"])
     def test_non_finite_c_is_refused_before_any_work(self, p5_file, c, capsys):
         assert main(["bounds", p5_file, "--n", "10", "--c", c]) == 1

@@ -17,6 +17,7 @@ from gonality import (
     GonalityError,
     NotIndependentError,
     PositiveRankCertificate,
+    SizeLimitError,
     apply_firing,
     build_graph,
     certify_independence_bound,
@@ -816,6 +817,22 @@ class TestRefutationKernel:
                     kept, dropped = kept + len(before), dropped + len(left) - len(before)
         assert kept > 900 and dropped > 2000  # rows past refutation that the q-check drops
 
+    def test_rows_are_yielded_as_their_slices_settle(self, monkeypatch):
+        """The 300-cycle's lex-first hit comes early in degree 2's one
+        chunk of 300 rows and about 89,000 pairs, and fewer than two
+        chunks' worth of rows reach the kernel before it; burning all the
+        chunk's pairs before yielding any row would send 89,401."""
+        sent = []
+        refutes = search._refutes
+
+        def counted(graph, chips, sources):
+            sent.append(len(chips))
+            return refutes(graph, chips, sources)
+
+        monkeypatch.setattr(search, "_refutes", counted)
+        assert gonality(cycle_graph(300)).value == 2
+        assert sum(sent) < 2 * search._CHUNK_ROWS
+
     def test_fire_wider_than_the_scan_dtype(self):
         # K14 less the edges from 0, bar 0-1: the burn from 0 lights 1 only,
         # and the other twelve fire 11 times, 132 chips onto 1, past int8
@@ -873,10 +890,10 @@ class TestScanAllocation:
     chunk of K40 rows would take about 1 MiB."""
 
     @staticmethod
-    def traced_peak(call):
+    def traced_peak(call, error=BudgetExceededError):
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetExceededError) as info:
+            with pytest.raises(error) as info:
                 call()
             return info.value, tracemalloc.get_traced_memory()[1]
         finally:
@@ -905,6 +922,16 @@ class TestScanAllocation:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_scan_refuses_more_vertices_than_the_parse_limit(self):
+        # refused before the count table, about 200 MB at the limit, is built
+        g = cycle_graph(10_001)
+        g.degrees, g.components  # the graph's own state is not the scan's
+        for with_certificate in (True, False):
+            exc, peak = self.traced_peak(lambda: gonality(g, with_certificate=with_certificate), SizeLimitError)
+            assert "n <= 10000, got 10001" in str(exc) and peak < 2**22
+        # a value call peels the path to an edge, which needs no scan
+        assert gonality(path_graph(20_000), with_certificate=False).value == 1
 
 
 class TestComplementDivisor:
