@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import EdgeCountError, GonalityError, MalformedHeaderError, SizeLimitError
-from .graphs import Graph, _checked_int, build_graph, degeneracy, induced_subgraph
+from .graphs import Graph, _checked_int, _int_tokens, build_graph, degeneracy, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -326,20 +326,14 @@ def parse_tree_decomposition(text: str) -> TreeDecomposition:
     lines = [ln.strip() for ln in text.splitlines()]
     if not lines:
         raise MalformedHeaderError("empty input")
-    try:
-        k, width = (int(tok) for tok in lines[0].split())
-    except ValueError as exc:
-        raise MalformedHeaderError(f"expected header 'k width', got {lines[0]!r}") from exc
+    k, width = _int_tokens(lines[0], MalformedHeaderError, "header 'k width'", 2)
     if k < 0:
         raise MalformedHeaderError(f"negative bag count in header {lines[0]!r}")
     expected = 1 + k + max(k - 1, 0)
     if len(lines) != expected:
         raise EdgeCountError(f"expected {expected} lines, found {len(lines)}")
-    try:
-        bags = tuple(frozenset(int(tok) for tok in ln.split()) for ln in lines[1:1 + k])
-        edges = tuple((int(a), int(b)) for a, b in (ln.split() for ln in lines[1 + k:]))
-    except ValueError as exc:
-        raise EdgeCountError(f"malformed bag or tree-edge line: {exc}") from exc
+    bags = tuple(frozenset(_int_tokens(ln, EdgeCountError, "bag line")) for ln in lines[1:1 + k])
+    edges = tuple(_int_tokens(ln, EdgeCountError, "tree edge 'a b'", 2) for ln in lines[1 + k:])
     td = TreeDecomposition(bags, edges)
     if td.width != width:
         raise MalformedHeaderError(f"header width {width}, bags give width {td.width}")

@@ -25,7 +25,7 @@ from .bounds import (
 from .divisors import parse_divisor, q_reduce, rank, serialize_divisor
 from .errors import BudgetExceededError, GonalityError
 from .experiments import MODES, ExperimentConfig, convergence_report, records_csv_text, run_experiment
-from .graphs import GnpParams, _checked_int, min_degree, parse_graph, sample_gnp, serialize_graph
+from .graphs import GnpParams, _checked_int, _int_tokens, min_degree, parse_graph, sample_gnp, serialize_graph
 from .search import gonality, parse_certificate, serialize_certificate, verify_certificate
 
 EXIT_OK = 0
@@ -98,11 +98,14 @@ def _cmd_reduce(args) -> int:
 def _cmd_bounds(args) -> int:
     tw_limit = _checked_int(args.tw_limit, "bounds", "--tw-limit", 0)
     graph = _load_graph(args.graph)
-    frieze = None if args.n is None or args.c is None else frieze_alpha_estimate(args.n, args.c)
-    with _output(args.td_out if graph.n <= tw_limit else None) as td_out:
+    exact = graph.n <= tw_limit
+    if args.td_out is not None and not exact:
+        raise GonalityError(f"--td-out needs the exact width, so n <= --tw-limit {tw_limit}, got n = {graph.n}")
+    frieze = None if args.c is None else frieze_alpha_estimate(graph.n, args.c)
+    with _output(args.td_out) as td_out:
         print(f"min_degree {min_degree(graph)}")
         print(f"tw_lb {treewidth_lower_bound(graph)}")
-        if graph.n <= tw_limit:
+        if exact:
             tw, td = treewidth_exact(graph, tw_limit, with_decomposition=td_out is not None)
             print(f"tw_exact {tw}")
         else:
@@ -128,12 +131,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    try:
-        n_list = tuple(int(tok) for tok in args.n.split(","))
-    except ValueError as exc:
-        raise GonalityError(f"--n must be a comma list of integers, got {args.n!r}") from exc
     config = ExperimentConfig(
-        n_list=n_list,
+        n_list=_int_tokens(args.n, GonalityError, "--n as a comma list", sep=","),
         c_spec=args.c,
         trials=args.trials,
         seed=args.seed,
@@ -195,8 +194,7 @@ def build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=None, help="node budget for the alpha search")
     p.add_argument("--tw-limit", type=int, default=16, help="size limit for exact treewidth")
     p.add_argument("--td-out", default=None, help="write the witness tree decomposition here")
-    p.add_argument("--n", type=int, default=None, help="n for the independence estimate")
-    p.add_argument("--c", type=float, default=None, help="mean degree for the independence estimate")
+    p.add_argument("--c", type=float, default=None, help="mean degree for the independence estimate at the graph's n")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("sample", help="sample a G(n, p) graph reproducibly")

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DisconnectedGraphError, GonalityError
-from .graphs import Graph, _checked_int, genus
+from .graphs import Graph, _checked_int, _int_tokens, genus
 
 
 @dataclass(frozen=True)
@@ -167,10 +167,7 @@ def serialize_divisor(div: Divisor) -> str:
 
 
 def parse_divisor(text: str, n: Optional[int] = None) -> Divisor:
-    try:
-        chips = tuple(int(tok) for tok in text.split())
-    except ValueError as exc:
-        raise GonalityError(f"non-integer chip value in {text!r}") from exc
+    chips = _int_tokens(text, GonalityError, "chip or firing values")
     if n is not None and len(chips) != n:
         raise GonalityError(f"divisor has {len(chips)} entries, graph has {n} vertices")
     return Divisor(chips)

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .bounds import _frieze_bracket, maximum_independent_set, treewidth_exact, treewidth_lower_bound
 from .errors import BudgetExceededError, GonalityError, SizeLimitError
-from .graphs import _PARSE_MAX_N, GnpParams, _checked_int, genus, sample_gnp
+from .graphs import _INT_TOKEN, _PARSE_MAX_N, GnpParams, _checked_int, genus, sample_gnp
 from .search import gonality
 
 _MASK64 = (1 << 64) - 1
@@ -53,6 +53,8 @@ def c_of(c_spec: str, n: int) -> float:
     """Mean-degree family: ``sqrt`` is sqrt(n), ``log`` is ln(n), ``p:x``
     pins the edge probability at x (so c = x*n, for dense control series),
     and anything else must parse as a positive finite constant."""
+    if not isinstance(c_spec, str):
+        raise GonalityError(f"c spec must be a string, got {c_spec!r}")
     if c_spec == "sqrt":
         return math.sqrt(n)
     if c_spec == "log":
@@ -151,7 +153,7 @@ def _optional(write, read):
 
 def _int_cell(cell: str) -> int:
     """An integer cell exactly as ``str(int)`` writes it."""
-    if not re.fullmatch(r"0|-?[1-9][0-9]*", cell):
+    if not _INT_TOKEN.fullmatch(cell):
         raise ValueError(f"{cell!r} is not an integer cell")
     return int(cell)
 

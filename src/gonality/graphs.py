@@ -5,12 +5,16 @@ construction, so they can be shared freely across threads and processes.
 
 The edge-list text format is one header line ``n m`` followed by ``m`` lines
 ``u v`` (0-indexed).  Serialization writes edges with ``u < v`` in
-lexicographic order; the parser accepts edges in any order.
+lexicographic order; the parser accepts edges in any order.  Every reader
+of the package's text formats takes an integer only in the form ``str(int)``
+writes, ``_INT_TOKEN``.
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -129,6 +133,24 @@ def _checked_int(value, caller: str, name: str, least: Optional[int] = None, mos
     return value
 
 
+# an integer exactly as ``str(int)`` writes it, and so as every writer here does
+_INT_TOKEN = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _int_tokens(text: str, error: type[GonalityError], what: str,
+                count: Optional[int] = None, sep: Optional[str] = None) -> tuple[int, ...]:
+    """The integers of ``text`` split at ``sep`` (whitespace by default),
+    ``count`` of them if given, each token matching ``_INT_TOKEN``; else
+    ``error`` naming ``what``."""
+    tokens = text.split(sep)
+    if (count is None or len(tokens) == count) and all(map(_INT_TOKEN.fullmatch, tokens)):
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:  # a token past int()'s digit limit (Python 3.11 on)
+            pass
+    raise error(f"expected {what} (integers as str(int) writes them), got {text!r}")
+
+
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Validate and build a :class:`Graph`.
 
@@ -192,6 +214,8 @@ class GnpParams:
         object.__setattr__(self, "seed", _checked_int(self.seed, "GnpParams", "seed"))
         if not (0 <= self.seed < 2**64):
             raise GonalityError(f"seed must fit in 64 bits, got {self.seed}")
+        if not isinstance(self.c, numbers.Real):
+            raise GonalityError(f"GnpParams needs a real c, got {self.c!r}")
         p = self.c / self.n
         if not (0.0 <= p <= 1.0):
             raise GonalityError(f"p = c/n = {p} outside [0, 1]")
@@ -200,6 +224,8 @@ class GnpParams:
     @classmethod
     def from_p(cls, n: int, p: float, seed: int) -> "GnpParams":
         n = _checked_int(n, "GnpParams", "vertex count", 1, _PARSE_MAX_N)  # before p * n
+        if not isinstance(p, numbers.Real):
+            raise GonalityError(f"GnpParams needs a real p, got {p!r}")
         return cls(n=n, c=p * n, seed=seed)
 
 
@@ -306,24 +332,9 @@ def parse_graph(text: str) -> Graph:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise MalformedHeaderError("empty input")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise MalformedHeaderError(f"expected header 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise MalformedHeaderError(f"non-integer header {lines[0]!r}") from exc
+    n, m = _int_tokens(lines[0], MalformedHeaderError, "header 'n m'", 2)
     if n > _PARSE_MAX_N:
         raise MalformedHeaderError(f"header promises {n} vertices, above the limit {_PARSE_MAX_N}")
     if len(lines) - 1 != m:
         raise EdgeCountError(f"header promises {m} edges, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise EdgeCountError(f"malformed edge line {ln!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise EdgeCountError(f"non-integer edge line {ln!r}") from exc
-    return build_graph(n, edges)
+    return build_graph(n, (_int_tokens(ln, EdgeCountError, "edge line 'u v'") for ln in lines[1:]))

@@ -33,7 +33,6 @@ produced them.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -307,13 +306,8 @@ def _peeled(graph: Graph) -> list[int]:
 
 def _check_independent(graph: Graph, vertices) -> None:
     vs = set(vertices)
-    for v in vs:
-        try:
-            ok = 0 <= operator.index(v) < graph.n
-        except TypeError:  # 0.5 is no vertex, yet it would shrink n - |I|
-            ok = False
-        if not ok:
-            raise GonalityError(f"vertex {v!r} is not an integer in [0, {graph.n})")
+    for v in vs:  # 0.5 is no vertex, yet it would shrink n - |I|
+        _checked_int(v, "the independent set", "vertex", 0, graph.n - 1)
     for u, v in graph.edges:
         if u in vs and v in vs:
             raise NotIndependentError(f"vertices {u} and {v} are adjacent")
@@ -414,8 +408,6 @@ def _candidate_chunks(scan: _Scan, d: int) -> Iterator[np.ndarray]:
     further vector exists.
     """
     ways, budget = scan.ways, scan.budget
-    if ways[0, d - 1] == 0:
-        return
     scan.tables()
     stack = [(np.zeros((1, scan.graph.n), dtype=scan.dtype), np.array([d - 1], dtype=np.int64), 0)]
     emitted = 0

@@ -122,8 +122,10 @@ class TestBoundsCommand:
         assert main(["bounds", str(path), "--tw-limit", "64"]) == 1
         assert "error: treewidth_exact limited to n <= 24, got 64" in capsys.readouterr().err
 
-    def test_frieze_flag(self, p5_file, capsys):
-        assert main(["bounds", p5_file, "--n", "100", "--c", "10.0"]) == 0
+    def test_frieze_flag(self, tmp_path, capsys):  # at the graph's n
+        path = tmp_path / "p100.edges"
+        path.write_text(serialize_graph(path_graph(100)))
+        assert main(["bounds", str(path), "--c", "10.0"]) == 0
         assert "frieze_alpha 35.508" in capsys.readouterr().out
 
     def test_td_out(self, p5_file, tmp_path, capsys):
@@ -251,9 +253,20 @@ class TestIOContract:
         assert "error: --out writes the certificate, so it needs --certificate" in captured.err
         assert captured.out == "" and not out.exists()
 
+    def test_td_out_above_the_tw_limit_is_bad_usage(self, p5_file, tmp_path, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("min_degree ran although --td-out has no witness to write")
+
+        monkeypatch.setattr(cli, "min_degree", no_work)
+        out = tmp_path / "p5.td"
+        assert main(["bounds", p5_file, "--tw-limit", "4", "--td-out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "error: --td-out needs the exact width, so n <= --tw-limit 4, got n = 5" in captured.err
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("c", ["inf", "nan"])
     def test_non_finite_c_is_refused_before_any_work(self, p5_file, c, capsys):
-        assert main(["bounds", p5_file, "--n", "10", "--c", c]) == 1
+        assert main(["bounds", p5_file, "--c", c]) == 1
         captured = capsys.readouterr()
         assert "finite c > e" in captured.err
         assert captured.out == ""
@@ -261,7 +274,8 @@ class TestIOContract:
     @pytest.mark.parametrize("argv", [
         ["gonality", "{bad}"],
         ["sample", "--n", "5", "--c", "2", "--seed", "1", "--out", "{missing}"],
-        ["bounds", "{good}", "--n", "10", "--c", "nan"],
+        ["bounds", "{good}", "--c", "nan"],
+        ["bounds", "{good}", "--tw-limit", "4", "--td-out", "{missing}"],
     ])
     def test_console_exits_one_without_a_traceback(self, argv, not_utf8, p5_file, tmp_path):
         root = Path(__file__).resolve().parent.parent
@@ -337,7 +351,7 @@ def _argv(draw, tmp: str) -> list[str]:
         return [command, graph_file, "--divisor", divisor, *base]
     if command == "bounds":
         return [command, graph_file, *flags(budget=lambda: number("1", "100"), tw_limit=lambda: number("0", "16"),
-                                            td_out=lambda: out, n=lambda: size("10"), c=lambda: number("3", "5.5"))]
+                                            td_out=lambda: out, c=lambda: number("3", "5.5"))]
     if command == "sample":
         rate = draw(st.sampled_from([["--c", number("2", "3.5")], ["--p", number("0.5", "1", "0")]]))
         return [command, "--n", size("5", "8"), "--seed", number("1", "7"), *rate, *flags(out=lambda: out)]

@@ -66,6 +66,13 @@ class TestCSpec:
         with pytest.raises(GonalityError):
             c_of(spec, 8)
 
+    @pytest.mark.parametrize("spec", [None, 5, 2.5, b"sqrt"], ids=repr)
+    def test_spec_that_is_not_a_string(self, spec):
+        with pytest.raises(GonalityError, match="c spec must be a string"):
+            c_of(spec, 10)
+        with pytest.raises(GonalityError, match="c spec must be a string"):
+            ExperimentConfig(n_list=(6,), c_spec=spec, trials=1, seed=1)
+
 
 class TestConfig:
     def test_exact_mode_size_guard(self):

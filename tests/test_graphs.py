@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -132,6 +133,14 @@ def test_zero_budget_runs_out_instead():
     with pytest.raises(SizeLimitError):
         treewidth_exact(path_graph(4), 0)
     assert _config(budget=0).budget == 0
+
+
+@pytest.mark.parametrize("build", [GnpParams, GnpParams.from_p], ids=["c", "p"])
+@pytest.mark.parametrize("rate", ["3", "0.3", None, 3 + 0j], ids=repr)
+def test_non_real_rate_is_a_domain_error(build, rate):
+    # checked before any arithmetic: from_p took "0.3" * 10 for a string c
+    with pytest.raises(GonalityError, match=f"GnpParams needs a real [cp], got {re.escape(repr(rate))}"):
+        build(10, rate, 1)
 
 
 def test_numpy_integer_parameters_are_stored_as_int():

@@ -1,15 +1,22 @@
 """Serializing and then parsing gives back the input, for every text format:
 graphs, divisors, firing scripts, certificates, tree decompositions and
-experiment CSV rows."""
+experiment CSV rows; and every reader refuses an integer token that
+``str(int)`` never writes."""
 
+import io
 import os
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gonality import (
     Divisor,
+    EdgeCountError,
     FiringScript,
+    GonalityError,
+    MalformedHeaderError,
     PositiveRankCertificate,
     TreeDecomposition,
     TrialRecord,
@@ -27,6 +34,7 @@ from gonality import (
     serialize_tree_decomposition,
     write_records_csv,
 )
+from gonality.cli import main
 from gonality.experiments import MODES
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -103,3 +111,86 @@ def test_experiment_csv_rows(rows):
         path = os.path.join(tmp, "rows.csv")
         write_records_csv(rows, path)
         assert read_records_csv(path) == rows
+
+
+# tokens that no writer here writes; int() alone reads all but 6.0
+_NOT_WRITTEN = {"1_0": "1_0", "+6": "+6", "06": "06", "-0": "-0", "arabic-indic-6": "\u0666", "6.0": "6.0"}
+# past the digit limit of int() from Python 3.11 on; 3.10 reads it
+_HUGE = "9" * 5000
+_RECORD = TrialRecord(n=6, c=2.5, p=0.5, trial=0, seed=7, connected=True, genus=2, alpha=3, alpha_exact=True,
+                      tw_lb=2, tw_exact=2, gon_lb=2, gon_ub=3, gon_exact=3, mode="exact")
+
+
+def _console(*argv):
+    """Run the CLI; an exit 1 with its ``error:`` line is raised as the
+    GonalityError it reports, so a bare exception still escapes."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(list(argv))
+    if code == 1 and err.getvalue().startswith("error: "):
+        raise GonalityError(err.getvalue())
+    assert code == 0, err.getvalue()
+
+
+def _csv_cell(tok, tmp):
+    path = tmp / "rows.csv"
+    write_records_csv([_RECORD], str(path))
+    header, row = path.read_text().splitlines()
+    path.write_text(f"{header}\n{tok},{row.split(',', 1)[1]}\n")
+    try:
+        return read_records_csv(str(path))
+    except GonalityError as exc:
+        assert str(exc).startswith(f"{path}, line 2: "), exc
+        raise
+
+
+def _reduce(tok, tmp):
+    path = tmp / "p7.edges"
+    path.write_text("7 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n")
+    _console("reduce", str(path), "--divisor", f"{tok} 0 -1 0 0 0 0")
+
+
+# each position that reads an integer, called with the token, and its error
+_SITES = {
+    "graph header": (lambda tok, tmp: parse_graph(f"{tok} 0\n"), MalformedHeaderError),
+    "edge line": (lambda tok, tmp: parse_graph(f"7 1\n0 {tok}\n"), EdgeCountError),
+    "divisor": (lambda tok, tmp: parse_divisor(f"0 {tok} -1"), GonalityError),
+    "firing script": (lambda tok, tmp: parse_firing_script(f"{tok} 0", 2), GonalityError),
+    "certificate line": (lambda tok, tmp: parse_certificate(f"1 1\n0 0\n0 {tok}\n", 2), GonalityError),
+    "tree decomposition header": (lambda tok, tmp: parse_tree_decomposition(f"1 {tok}\n0 1 2 3 4 5 6\n"),
+                                  MalformedHeaderError),
+    "bag line": (lambda tok, tmp: parse_tree_decomposition(f"1 0\n{tok}\n"), EdgeCountError),
+    "tree-edge line": (lambda tok, tmp: parse_tree_decomposition(f"2 0\n0\n1\n0 {tok}\n"), EdgeCountError),
+    "csv integer cell": (_csv_cell, GonalityError),
+    "reduce --divisor": (_reduce, GonalityError),
+    "experiment --n": (lambda tok, tmp: _console("experiment", "--n", f"6,{tok}", "--c", "2", "--trials", "1",
+                                                 "--seed", "1", "--mode", "sandwich"), GonalityError),
+}
+
+
+@pytest.mark.parametrize("site", list(_SITES))
+def test_reader_takes_the_token_str_int_writes(site, tmp_path):
+    _SITES[site][0]("6", tmp_path)
+
+
+@pytest.mark.parametrize("tok", list(_NOT_WRITTEN.values()), ids=list(_NOT_WRITTEN))
+@pytest.mark.parametrize("site", list(_SITES))
+def test_reader_refuses_a_token_str_int_never_writes(site, tok, tmp_path):
+    call, error = _SITES[site]
+    with pytest.raises(error):
+        call(tok, tmp_path)
+
+
+@pytest.mark.parametrize("site", list(_SITES))
+def test_token_past_the_digit_limit_is_never_a_bare_value_error(site, tmp_path):
+    call, error = _SITES[site]
+    try:
+        int(_HUGE)
+    except ValueError:  # Python 3.11 on: the reader must refuse it as the site does
+        with pytest.raises(error):
+            call(_HUGE, tmp_path)
+        return
+    try:  # Python 3.10 reads it, and a later check may refuse the value
+        call(_HUGE, tmp_path)
+    except GonalityError:
+        pass

@@ -1021,7 +1021,7 @@ class TestAcceleratorChecks:
 
     def test_non_integer_vertices_are_rejected(self):
         # three fractional "vertices" touch no edge, so n - |I| read 1 on K4
-        with pytest.raises(GonalityError, match="not an integer"):
+        with pytest.raises(GonalityError, match="needs an integer vertex"):
             gonality(complete_graph(4), independent_set={0.1, 0.2, 0.3}, with_certificate=False)
         assert gonality(complete_graph(4), independent_set={np.int64(0)}).value == 3
 
