@@ -111,6 +111,14 @@ def validate_tree_decomposition(graph: Graph, td: TreeDecomposition) -> Validati
 _TW_MAX_N = 24
 
 
+def _check_tw_size(n: int, size_limit: int) -> None:
+    """Raise :class:`SizeLimitError` unless :func:`treewidth_exact` takes n
+    vertices under ``size_limit`` and the ceiling ``_TW_MAX_N``."""
+    limit = min(_checked_int(size_limit, "treewidth_exact", "size limit", 0), _TW_MAX_N)
+    if n > limit:
+        raise SizeLimitError(f"treewidth_exact limited to n <= {limit}, got {n}")
+
+
 def treewidth_exact(graph: Graph, size_limit: int = 16, *,
                     with_decomposition: bool = True) -> tuple[int, Optional[TreeDecomposition]]:
     """Exact treewidth, with a witness decomposition unless
@@ -130,9 +138,7 @@ def treewidth_exact(graph: Graph, size_limit: int = 16, *,
     limit, before any work.
     """
     n = graph.n
-    limit = min(_checked_int(size_limit, "treewidth_exact", "size limit", 0), _TW_MAX_N)
-    if n > limit:
-        raise SizeLimitError(f"treewidth_exact limited to n <= {limit}, got {n}")
+    _check_tw_size(n, size_limit)
     if n == 0:
         return -1, TreeDecomposition((frozenset(),), ()) if with_decomposition else None
     adj = graph.adjacency_bits

@@ -16,6 +16,7 @@ from typing import Optional
 
 from . import __version__
 from .bounds import (
+    _check_tw_size,
     frieze_alpha_estimate,
     maximum_independent_set,
     serialize_tree_decomposition,
@@ -46,6 +47,12 @@ def _read_text(path: str, what: str) -> str:
             return fh.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise GonalityError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _int_option(text: str) -> int:
+    """An integer option, read by the token rule of the text formats, so
+    that ``+6``, ``06``, ``1_0`` and non-ASCII digits are bad usage."""
+    return _int_tokens(text, argparse.ArgumentTypeError, "an integer", 1)[0]
 
 
 def _load_graph(path: str):
@@ -99,7 +106,9 @@ def _cmd_bounds(args) -> int:
     tw_limit = _checked_int(args.tw_limit, "bounds", "--tw-limit", 0)
     graph = _load_graph(args.graph)
     exact = graph.n <= tw_limit
-    if args.td_out is not None and not exact:
+    if exact:  # a graph above the ceiling is refused before any output
+        _check_tw_size(graph.n, tw_limit)
+    elif args.td_out is not None:
         raise GonalityError(f"--td-out needs the exact width, so n <= --tw-limit {tw_limit}, got n = {graph.n}")
     frieze = None if args.c is None else frieze_alpha_estimate(graph.n, args.c)
     with _output(args.td_out) as td_out:
@@ -173,7 +182,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gonality", help="exact gonality of a graph, with optional certificate")
     p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=None, help="max candidates per degree")
+    p.add_argument("--budget", type=_int_option, default=None, help="max candidates per degree")
     p.add_argument("--certificate", action="store_true", help="print or write the witness certificate")
     p.add_argument("--out", default=None, help="write the certificate to a file")
     p.set_defaults(func=_cmd_gonality)
@@ -186,22 +195,22 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reduce", help="q-reduced form of a divisor")
     p.add_argument("graph")
     p.add_argument("--divisor", required=True)
-    p.add_argument("--base", type=int, default=0, help="base vertex q (default 0)")
+    p.add_argument("--base", type=_int_option, default=0, help="base vertex q (default 0)")
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("bounds", help="lower/upper bound toolkit for one graph")
     p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=None, help="node budget for the alpha search")
-    p.add_argument("--tw-limit", type=int, default=16, help="size limit for exact treewidth")
+    p.add_argument("--budget", type=_int_option, default=None, help="node budget for the alpha search")
+    p.add_argument("--tw-limit", type=_int_option, default=16, help="size limit for exact treewidth")
     p.add_argument("--td-out", default=None, help="write the witness tree decomposition here")
     p.add_argument("--c", type=float, default=None, help="mean degree for the independence estimate at the graph's n")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("sample", help="sample a G(n, p) graph reproducibly")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_option, required=True)
     p.add_argument("--c", type=float, default=None, help="mean degree; p = c/n")
     p.add_argument("--p", type=float, default=None, help="edge probability")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_option, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sample)
 
@@ -209,12 +218,12 @@ def build_parser() -> _Parser:
     p.add_argument("--n", required=True, help="comma list of vertex counts, e.g. 6,8,10,12")
     p.add_argument("--c", required=True,
                    help="mean-degree family: sqrt, log, p:<x> (fixed edge probability), or a constant")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--trials", type=_int_option, required=True)
+    p.add_argument("--seed", type=_int_option, required=True)
     p.add_argument("--mode", choices=MODES, default="exact")
     p.add_argument("--out", default=None, help="CSV output path")
-    p.add_argument("--budget", type=int, default=None, help="per-phase search budgets")
-    p.add_argument("--threads", type=int, default=1, help="worker processes")
+    p.add_argument("--budget", type=_int_option, default=None, help="per-phase search budgets")
+    p.add_argument("--threads", type=_int_option, default=1, help="worker processes")
     p.add_argument("--timings", action="store_true",
                    help="record wall-clock columns (breaks byte-for-byte reruns)")
     p.set_defaults(func=_cmd_experiment)

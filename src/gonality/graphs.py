@@ -6,8 +6,8 @@ construction, so they can be shared freely across threads and processes.
 The edge-list text format is one header line ``n m`` followed by ``m`` lines
 ``u v`` (0-indexed).  Serialization writes edges with ``u < v`` in
 lexicographic order; the parser accepts edges in any order.  Every reader
-of the package's text formats takes an integer only in the form ``str(int)``
-writes, ``_INT_TOKEN``.
+of the package's text formats, and every integer option of the CLI, takes
+an integer only in the form ``str(int)`` writes, ``_INT_TOKEN``.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def _checked_int(value, caller: str, name: str, least: Optional[int] = None, mos
 _INT_TOKEN = re.compile(r"0|-?[1-9][0-9]*")
 
 
-def _int_tokens(text: str, error: type[GonalityError], what: str,
+def _int_tokens(text: str, error: type[Exception], what: str,
                 count: Optional[int] = None, sep: Optional[str] = None) -> tuple[int, ...]:
     """The integers of ``text`` split at ``sep`` (whitespace by default),
     ``count`` of them if given, each token matching ``_INT_TOKEN``; else

@@ -264,6 +264,15 @@ class TestIOContract:
         assert "error: --td-out needs the exact width, so n <= --tw-limit 4, got n = 5" in captured.err
         assert captured.out == "" and not out.exists()
 
+    def test_td_out_above_the_treewidth_ceiling_is_refused_before_any_output(self, tmp_path, capsys):
+        path = tmp_path / "p30.edges"
+        path.write_text(serialize_graph(path_graph(30)))
+        out = tmp_path / "w.td"
+        assert main(["bounds", str(path), "--tw-limit", "30", "--td-out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "error: treewidth_exact limited to n <= 24, got 30" in captured.err
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("c", ["inf", "nan"])
     def test_non_finite_c_is_refused_before_any_work(self, p5_file, c, capsys):
         assert main(["bounds", p5_file, "--c", c]) == 1

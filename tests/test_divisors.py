@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import inspect
+import math
 import random
 import sys
 import weakref
@@ -434,6 +435,37 @@ class TestRank:
         chips = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=g.n, max_size=g.n)))
         assert rank(g, Divisor(chips)) == reference_rank(g, chips)
 
+    def test_rank_of_the_dual_reuses_its_reduction(self, monkeypatch):
+        # rank(D) above degree g - 1 reduces K - D, which the memo keeps as
+        # given, so rank(K - D) next reduces nothing
+        reduced = []
+        reduce = divisors._reduce_chips
+
+        def spy(graph, chips, q, script=None):
+            reduced.append(tuple(chips))
+            return reduce(graph, chips, q, script)
+
+        monkeypatch.setattr(divisors, "_reduce_chips", spy)
+        rnd = random.Random(43)
+        tested = 0
+        while tested < 20:
+            g = random_connected_graph(rnd, 6, 0.6)
+            if genus(g) < 3:  # K - D of negative degree has rank -1 unreduced
+                continue
+            tested += 1
+            chips = [0] * g.n
+            for _ in range(genus(g) + 1):
+                chips[rnd.randrange(g.n)] += 1
+            chips[rnd.randrange(g.n)] -= 1
+            chips[rnd.randrange(g.n)] += 1
+            dual = (canonical_divisor(g) - Divisor(tuple(chips))).chips
+            reduced.clear()
+            assert rank(g, Divisor(tuple(chips))) == reference_rank(g, chips)
+            assert reduced[0] == dual
+            reduced.clear()
+            assert rank(g, Divisor(dual)) == reference_rank(g, dual)
+            assert reduced == []
+
     def test_deep_divisor_needs_no_recursion(self):
         # rank() answers deg D > g - 1 through K - D, of negative degree
         # here, so the recursion on K2 is entered directly: it runs 5000
@@ -495,21 +527,41 @@ def _reduce_both_ways(g, d, q):
     return jumped, plain
 
 
+@pytest.fixture
+def jumps(monkeypatch):
+    """Whether each ``_jump`` call moved any chips, in call order."""
+    moved = []
+    jump = divisors._jump
+
+    def spy(graph, chips, q, script):
+        before = list(chips)
+        jump(graph, chips, q, script)
+        moved.append(chips != before)
+
+    monkeypatch.setattr(divisors, "_jump", spy)
+    return moved
+
+
+@pytest.fixture
+def budgeted_borrows(monkeypatch):
+    """Whether each ``_borrow`` call given a budget cleared the debt (True)
+    or ran the budget out (False), in call order; the jump's unbudgeted
+    borrows are left out."""
+    cleared = []
+    borrow = divisors._borrow
+
+    def spy(graph, chips, q, script, budget=math.inf):
+        done = borrow(graph, chips, q, script, budget)
+        if budget != math.inf:
+            assert budget == divisors._BORROW_BUDGET * graph.n and script is None
+            cleared.append(done)
+        return done
+
+    monkeypatch.setattr(divisors, "_borrow", spy)
+    return cleared
+
+
 class TestJump:
-    @pytest.fixture
-    def jumps(self, monkeypatch):
-        """Whether each ``_jump`` call moved any chips, in call order."""
-        moved = []
-        jump = divisors._jump
-
-        def spy(graph, chips, q, script):
-            before = list(chips)
-            jump(graph, chips, q, script)
-            moved.append(chips != before)
-
-        monkeypatch.setattr(divisors, "_jump", spy)
-        return moved
-
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(st.data())
     def test_same_chips_and_script_without_the_jump(self, data):
@@ -630,6 +682,52 @@ class TestJump:
         check()
         assert sum(landed_in_debt) >= 10
 
+    def test_jump_follows_a_debt_that_borrowing_cleared(self, jumps, budgeted_borrows):
+        # the debt at vertex 1 walks to the pile at 999 in 998 borrows, within
+        # the budget of 2000, and leaves the pile for the jump; without it the
+        # Dhar rounds took about ten times as long
+        chips = [0] * 1000
+        chips[1], chips[999] = -1, 10_000
+        red = q_reduce(path_graph(1000), Divisor(tuple(chips)), 0)
+        assert budgeted_borrows == [True] and jumps == [True]
+        assert red.chips == (9_999,) + (0,) * 999
+
+
+class TestBorrowFirst:
+    """Reductions without a script borrow first, under a budget of
+    ``_BORROW_BUDGET * n`` borrows, and fire balls from where it ran out."""
+
+    @pytest.mark.parametrize("deep", [False, True], ids=["shallow", "deep"])
+    def test_matches_the_references(self, budgeted_borrows, deep):
+        """Chips in [-2, 2], and for a deep debt a pile of d chips at one
+        vertex and a debt of d at another, reduced at every base, and an
+        equivalence against a fired copy and against that copy with one
+        chip moved."""
+        @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+        @given(st.data())
+        def check(data):
+            g = draw_connected_graph(data, 2, 7)
+            rnd = random.Random(data.draw(st.integers(0, 2**32)))
+            chips = [rnd.randint(-2, 2) for _ in range(g.n)]
+            if deep:
+                p, v = rnd.sample(range(g.n), 2)
+                d = data.draw(st.integers(20, 120))
+                chips[p] += d
+                chips[v] -= d
+            div = Divisor(tuple(chips))
+            for q in range(g.n):
+                assert q_reduce(g, div, q).chips == reference_reduce(g, chips, q)[0]
+            fired = list(apply_firing(g, div, random_script(rnd, g.n, bound=30 if deep else 2)).chips)
+            assert linearly_equivalent(g, div, Divisor(tuple(fired)))
+            fired[0] += 1
+            fired[rnd.randrange(1, g.n)] -= 1
+            moved = [a - b for a, b in zip(chips, fired)]
+            assert linearly_equivalent(g, div, Divisor(tuple(fired))) == (not any(reference_reduce(g, moved, 0)[0]))
+            assert rank(g, div) == reference_rank(g, chips)
+
+        check()
+        assert budgeted_borrows.count(not deep) >= 10
+
 
 # each public call that checks a divisor or a script, as call(path_graph(3), divisor)
 CHECKED_CALLS = [
@@ -723,9 +821,10 @@ class TestGraphOwnedMemo:
 
     def test_memo_is_freed_with_the_graph(self):
         # degree 2 = g - 1, so rank() recurses on D itself, whose debt away
-        # from vertex 0 needs the BFS layers
+        # from vertex 0 takes 16 borrows, past the budget of 2n = 8, and so
+        # needs the BFS layers
         g = complete_graph(4)
-        rank(g, divisor(2, 1, 0, -1))
+        rank(g, divisor(52, 0, 0, -50))
         assert g._rank_memo and g._layer_tables
         ref = weakref.ref(g)
         del g
